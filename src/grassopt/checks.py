@@ -234,6 +234,36 @@ def check_gradient_tangency() -> CheckResult:
     return CheckResult("gradient_tangency", worst <= 1e-10, f"max {worst:.2e}")
 
 
+class _DoubledGradient(QuadraticTraceModel):
+    """Redefines only the gradient, so it must not inherit the fused
+    evaluate of QuadraticTraceModel (a deliberately wrong gradient shows
+    which one ran)."""
+
+    def euclidean_gradient(self, u):
+        return 2.0 * (self.a @ u)
+
+
+def check_evaluate_consistency() -> CheckResult:
+    """evaluate(U) returns (value(U), euclidean_gradient(U)) bit-for-bit, for
+    both models and for a subclass that redefines only the gradient."""
+    rng = np.random.default_rng(206)
+    for _ in range(20):
+        models = _models(rng)
+        models.append((_DoubledGradient(models[0][0].a), 24, 4))
+        for model, n, p in models:
+            u = _random_point(rng, n, p).u
+            energy, egrad = model.evaluate(u)
+            if energy != model.value(u):
+                return CheckResult(
+                    "evaluate_consistency", False, f"{type(model).__name__}: energy differs"
+                )
+            if not np.array_equal(egrad, model.euclidean_gradient(u)):
+                return CheckResult(
+                    "evaluate_consistency", False, f"{type(model).__name__}: gradient differs"
+                )
+    return CheckResult("evaluate_consistency", True)
+
+
 def check_hessian_symmetry() -> CheckResult:
     """<hess[D1], D2> = <hess[D2], D1> to 1e-9 relative."""
     rng = np.random.default_rng(203)
@@ -430,6 +460,7 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
         check_orthogonal_invariance,
         check_gradient_fd,
         check_gradient_tangency,
+        check_evaluate_consistency,
         check_hessian_symmetry,
         check_taylor_expansion,
         check_qform_fd,

@@ -40,21 +40,25 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
 
     The sign fix makes the factorization unique (hence deterministic) for a
     full-column-rank input.  Raises RankDeficient when the smallest singular
-    value falls below RANK_TOL times the largest.
+    value falls below RANK_TOL times the largest (read off the p-by-p R,
+    whose singular values are the input's), and ConvergenceFailure on
+    non-finite input.
     """
     a = _as_matrix(m)
     n, p = a.shape
     if n < p:
         raise ShapeMismatch(f"thin_qr needs n >= p, got {n}x{p}")
+    q, r = np.linalg.qr(a, mode="reduced")
     try:
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = np.linalg.svd(r, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    if not np.isfinite(sv).all():
+        raise ConvergenceFailure("non-finite input to thin_qr")
     if p > 0 and sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(
             f"smallest singular value {sv[-1]:.3e} below {RANK_TOL:g} * {sv[0]:.3e}"
         )
-    q, r = np.linalg.qr(a, mode="reduced")
     signs = np.sign(np.diag(r)).copy()
     signs[signs == 0] = 1.0
     return q * signs, r * signs[:, None]

@@ -39,7 +39,7 @@ class StiefelPoint:
         if u.ndim != 2 or u.shape[0] < u.shape[1]:
             raise ShapeMismatch(f"expected n >= p frame, got shape {u.shape}")
         defect = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
-        if defect > ORTHO_TOL:
+        if not defect <= ORTHO_TOL:  # NaN fails too
             raise ValueError(f"columns not orthonormal: defect {defect:.3e}")
         object.__setattr__(self, "u", u)
 
@@ -62,7 +62,7 @@ class TangentVector:
                 f"tangent shape {d.shape} != base shape {self.base.shape}"
             )
         drift = np.linalg.norm(self.base.u.T @ d)
-        if drift > ORTHO_TOL * max(1.0, float(np.linalg.norm(d))):
+        if not drift <= ORTHO_TOL * max(1.0, float(np.linalg.norm(d))):
             raise ValueError(f"not tangent at base: U^T D norm {drift:.3e}")
         object.__setattr__(self, "d", d)
 

@@ -1,14 +1,16 @@
 """Orthogonally invariant energy functionals and their manifold calculus.
 
 Models expose the ambient value / gradient / Hessian action on raw arrays
-(so finite-difference probes may leave the manifold); the Grassmann gradient
-and Hessian quadratic form are assembled on top.
+(so finite-difference probes may leave the manifold), plus a fused
+`evaluate` that returns value and gradient from one pass; the Grassmann
+gradient and Hessian quadratic form are assembled on top.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +19,20 @@ from .manifold import StiefelPoint, TangentVector, project_tangent
 
 
 class EnergyModel(abc.ABC):
-    """Smooth energy E(U) invariant under U -> U P for orthogonal P."""
+    """Smooth energy E(U) invariant under U -> U P for orthogonal P.
+
+    `evaluate` may be overridden to share work between the energy and the
+    gradient; it must return exactly what `value` and `euclidean_gradient`
+    return.  A subclass that redefines either of those without redefining
+    `evaluate` falls back to the composed default, so a fused `evaluate`
+    inherited from a parent never bypasses the subclass's definitions.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "evaluate" not in own and ("value" in own or "euclidean_gradient" in own):
+            cls.evaluate = EnergyModel.evaluate
 
     @abc.abstractmethod
     def value(self, u: np.ndarray) -> float: ...
@@ -27,6 +42,10 @@ class EnergyModel(abc.ABC):
 
     @abc.abstractmethod
     def hessian_apply(self, u: np.ndarray, d: np.ndarray) -> np.ndarray: ...
+
+    def evaluate(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """(E(U), Euclidean gradient of E at U)."""
+        return self.value(u), self.euclidean_gradient(u)
 
 
 @dataclass(frozen=True)
@@ -52,6 +71,10 @@ class QuadraticTraceModel(EnergyModel):
 
     def euclidean_gradient(self, u):
         return self.a @ u
+
+    def evaluate(self, u):
+        au = self.a @ u
+        return 0.5 * float(np.sum(u * au)), au
 
     def hessian_apply(self, u, d):
         return self.a @ d
@@ -99,16 +122,24 @@ class NonlinearLatticeModel(EnergyModel):
         return np.sum(u * u, axis=1)
 
     def value(self, u):
-        rho = self.density(u)
-        quad = 0.5 * float(np.sum(u * (self.a @ u)))
+        return self._energy(u, self.a @ u, self.density(u))
+
+    def euclidean_gradient(self, u):
+        return self._gradient(u, self.a @ u, self.density(u))
+
+    def evaluate(self, u):
+        au, rho = self.a @ u, self.density(u)
+        return self._energy(u, au, rho), self._gradient(u, au, rho)
+
+    def _energy(self, u, au, rho):
+        quad = 0.5 * float(np.sum(u * au))
         ext = self.h * float(self.v @ rho)
         inter = 0.5 * self.gamma * self.h * float(rho @ rho)
         return quad + ext + inter
 
-    def euclidean_gradient(self, u):
-        rho = self.density(u)
+    def _gradient(self, u, au, rho):
         return (
-            self.a @ u
+            au
             + 2.0 * self.h * (self.v[:, None] * u)
             + 2.0 * self.gamma * self.h * (rho[:, None] * u)
         )
@@ -166,13 +197,22 @@ def grassmann_gradient(model: EnergyModel, point: StiefelPoint) -> TangentVector
 
 
 def grassmann_hessian_qform(
-    model: EnergyModel, point: StiefelPoint, tangent: TangentVector
+    model: EnergyModel,
+    point: StiefelPoint,
+    tangent: TangentVector,
+    egrad: Optional[np.ndarray] = None,
 ) -> float:
-    """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U))."""
+    """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)).
+
+    `egrad` is the Euclidean gradient at `point` if the caller already has
+    it; otherwise it is computed here.
+    """
     u, d = point.u, tangent.d
+    if egrad is None:
+        egrad = model.euclidean_gradient(u)
     hd = model.hessian_apply(u, d)
     curvature = float(np.sum(d * hd))
-    correction = float(np.trace((d.T @ d) @ (u.T @ model.euclidean_gradient(u))))
+    correction = float(np.trace((d.T @ d) @ (u.T @ egrad)))
     return curvature - correction
 
 

@@ -26,7 +26,8 @@ from .manifold import (
     retract_geodesic,
     retract_qr,
 )
-from .objectives import EnergyModel, grassmann_gradient, grassmann_hessian_qform
+# grassmann_gradient is not called here; it stays importable for callers that patch it
+from .objectives import EnergyModel, grassmann_gradient, grassmann_hessian_qform  # noqa: F401
 
 STRATEGIES = ("adaptive", "backtracking", "none")
 DIRECTIONS = ("steepest", "cg_restart")
@@ -134,37 +135,20 @@ def cg_direction(
     return d, False
 
 
-class _CountingModel:
-    """Delegating wrapper that counts value() calls (the dominant cost unit)."""
-
-    def __init__(self, model: EnergyModel):
-        self._model = model
-        self.value_calls = 0
-
-    def value(self, u):
-        self.value_calls += 1
-        return self._model.value(u)
-
-    def euclidean_gradient(self, u):
-        return self._model.euclidean_gradient(u)
-
-    def hessian_apply(self, u, d):
-        return self._model.hessian_apply(u, d)
-
-
 def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveResult:
     """Run the line-search loop until the Grassmann gradient norm drops
     below epsilon, the iteration cap is hit, or a numerical failure occurs."""
     defect = np.linalg.norm(u0.u.T @ u0.u - np.eye(u0.shape[1]))
-    if defect > ORTHO_TOL:
+    if not defect <= ORTHO_TOL:
         raise ValueError(f"initial point infeasible: defect {defect:.3e}")
 
-    cmodel = _CountingModel(model)
     base_retract = retract_qr if config.retraction == "qr" else retract_geodesic
-    retraction_calls = [0]
+    energy_evals = 0
+    retraction_evals = 0
 
     def retraction(point, tangent, t):
-        retraction_calls[0] += 1
+        nonlocal retraction_evals
+        retraction_evals += 1
         return base_retract(point, tangent, t)
 
     params = config.step_params
@@ -184,9 +168,13 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     while True:
         tic = time.perf_counter()
         try:
-            grad = grassmann_gradient(model, point)
-            residual = grad.norm
-            energy = cmodel.value(point.u)
+            energy_evals += 1
+            energy, egrad = model.evaluate(point.u)
+            # a non-finite gradient has no tangent projection; it fails below
+            residual = math.nan
+            if np.isfinite(egrad).all():
+                grad = project_tangent(point, egrad)
+                residual = grad.norm
         except (LinalgError, FloatingPointError) as exc:
             status = Status.FAILED
             diagnostic = f"iteration {n}: {exc}"
@@ -221,14 +209,14 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
 
         try:
             if config.strategy == "adaptive":
-                hq = grassmann_hessian_qform(model, point, direction)
+                hq = grassmann_hessian_qform(model, point, direction, egrad)
                 decision = ss.adaptive_step(
                     energy, nm.c, slope, hq, t_initial, params, direction.norm
                 )
                 next_point = retraction(point, direction, decision.t)
             elif config.strategy == "backtracking":
                 decision, next_point = ss.backtracking_step(
-                    cmodel,
+                    model,
                     point,
                     direction,
                     t_initial,
@@ -237,6 +225,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                     retraction,
                     g=slope,
                 )
+                energy_evals += decision.backtracks + 1  # one per trial
             else:  # strategy == "none": accept the initial guess unjudged
                 t = max(t_initial, params.t_min)
                 decision = ss.StepDecision(
@@ -248,6 +237,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 )
                 next_point = retraction(point, direction, t)
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
+            if isinstance(exc, ss.MaxBacktracks):
+                energy_evals += ss.MAX_BACKTRACKS + 1  # every trial was evaluated
             status = Status.FAILED
             diagnostic = f"iteration {n}: {exc}"
             break
@@ -275,7 +266,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         final_energy=energy,
         final_residual=residual,
         trace=trace,
-        total_energy_evals=cmodel.value_calls,
-        total_retraction_evals=retraction_calls[0],
+        total_energy_evals=energy_evals,
+        total_retraction_evals=retraction_evals,
         diagnostic=diagnostic,
     )

@@ -47,6 +47,19 @@ class TestThinQR:
         with pytest.raises(ShapeMismatch):
             thin_qr(np.ones((2, 5)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConvergenceFailure):
+            thin_qr([[bad, 1.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def test_rank_check_matches_input_singular_values(self):
+        # rank is judged on R, whose singular values are the input's: a
+        # column scaled just above / below the tolerance flips the verdict
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 3)))
+        thin_qr(q * [1.0, 1.0, 1e-11])
+        with pytest.raises(RankDeficient):
+            thin_qr(q * [1.0, 1.0, 1e-13])
+
 
 class TestSvdThin:
     def test_diagonal(self):

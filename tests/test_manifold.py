@@ -33,6 +33,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             TangentVector(np.array([[1.0], [0.0]]), E1)
 
+    def test_stiefel_rejects_nan(self):
+        with pytest.raises(ValueError):
+            StiefelPoint(np.full((4, 2), np.nan))
+
+    def test_tangent_rejects_nan(self):
+        with pytest.raises(ValueError):
+            TangentVector(np.array([[0.0], [np.nan]]), E1)
+
     def test_immutable_storage(self):
         point = random_stiefel(5, 2, 0)
         with pytest.raises(ValueError):

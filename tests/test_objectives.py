@@ -119,6 +119,43 @@ class TestValuesAndGradients:
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
+class TestEvaluate:
+    """evaluate(U) is (value(U), euclidean_gradient(U)), bit for bit."""
+
+    @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice], ids=["quadratic", "lattice"])
+    def test_matches_value_and_gradient(self, make):
+        model = make()
+        for seed in range(5):
+            u = random_stiefel(model.a.shape[0], 2, seed).u
+            energy, egrad = model.evaluate(u)
+            assert energy == model.value(u)
+            npt.assert_array_equal(egrad, model.euclidean_gradient(u))
+
+    def test_subclass_redefining_gradient_gets_composed_evaluate(self):
+        class Doubled(NonlinearLatticeModel):
+            def euclidean_gradient(self, u):
+                return 2.0 * super().euclidean_gradient(u)
+
+        base = small_lattice()
+        model = Doubled(a=base.a, v=base.v, h=base.h, gamma=base.gamma)
+        u = random_stiefel(base.npts, 2, 7).u
+        energy, egrad = model.evaluate(u)
+        assert energy == model.value(u)
+        npt.assert_array_equal(egrad, model.euclidean_gradient(u))
+
+    def test_fused_evaluate_is_inherited_until_redefined(self):
+        class Plain(QuadraticTraceModel):
+            pass
+
+        class Shifted(Plain):
+            def value(self, u):
+                return super().value(u) + 1.0
+
+        assert Plain.evaluate is QuadraticTraceModel.evaluate
+        u = E1.u
+        assert Shifted(DIAG123.a).evaluate(u)[0] == DIAG123.value(u) + 1.0
+
+
 class TestOrthogonalInvariance:
     @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice])
     def test_value_invariant(self, make):

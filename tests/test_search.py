@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from grassopt import (
+    EnergyModel,
     QuadraticTraceModel,
     SolveConfig,
     Status,
@@ -16,6 +17,7 @@ from grassopt import (
     solve,
     steepest_direction,
 )
+from grassopt.stepsize import MAX_BACKTRACKS
 
 from conftest import random_stiefel, random_tangent
 
@@ -99,6 +101,12 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             solve(DIAG123, bad, SolveConfig())
 
+    def test_nan_start_rejected(self):
+        bad = StiefelPoint.__new__(StiefelPoint)
+        object.__setattr__(bad, "u", np.array([[np.nan], [0.0], [0.0]]))
+        with pytest.raises(ValueError):
+            solve(DIAG123, bad, SolveConfig())
+
     def test_max_iterations_status(self):
         config = SolveConfig(epsilon=1e-14, max_iter=3)
         result = solve(DIAG123, MIX13, config)
@@ -175,6 +183,65 @@ class TestTrajectoryInvariants:
             )
 
 
+class CallLog(EnergyModel):
+    """Delegates to a model and logs the name of every model call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.log = []
+
+    def value(self, u):
+        self.log.append("value")
+        return self.model.value(u)
+
+    def euclidean_gradient(self, u):
+        self.log.append("euclidean_gradient")
+        return self.model.euclidean_gradient(u)
+
+    def hessian_apply(self, u, d):
+        self.log.append("hessian_apply")
+        return self.model.hessian_apply(u, d)
+
+    def evaluate(self, u):
+        self.log.append("evaluate")
+        return self.model.evaluate(u)
+
+
+class TestEvaluationProtocol:
+    """Each iterate is evaluated once; only the step logic adds model calls."""
+
+    steps = 8
+
+    def run(self, strategy, make_model):
+        model = CallLog(make_model())
+        u0 = random_stiefel(model.model.a.shape[0], 3, 14)
+        config = SolveConfig(epsilon=1e-14, max_iter=self.steps, strategy=strategy)
+        result = solve(model, u0, config)
+        assert result.status is Status.MAX_ITERATIONS
+        assert result.iters == self.steps
+        return model.log, result
+
+    MODELS = [
+        lambda: QuadraticTraceModel(random_symmetric(30, seed=13)),
+        lambda: harmonic_lattice(30, length=6.0, gamma=1.0),
+    ]
+
+    @pytest.mark.parametrize("make_model", MODELS, ids=["quadratic", "lattice"])
+    def test_adaptive_call_pattern(self, make_model):
+        log, result = self.run("adaptive", make_model)
+        assert log == ["evaluate", "hessian_apply"] * self.steps + ["evaluate"]
+        assert result.total_energy_evals == self.steps + 1
+
+    @pytest.mark.parametrize("make_model", MODELS, ids=["quadratic", "lattice"])
+    def test_backtracking_call_pattern(self, make_model):
+        log, result = self.run("backtracking", make_model)
+        expect = []
+        for rec in result.trace:
+            expect += ["evaluate"] + ["value"] * (1 + rec.backtracks)
+        assert log == expect + ["evaluate"]
+        assert result.total_energy_evals == len(log)
+
+
 class TestLatticeSolve:
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
     def test_strategies_agree(self, strategy):
@@ -216,3 +283,36 @@ class TestFailureHandling:
         result = solve(model, MIX13, SolveConfig(strategy="backtracking"))
         assert result.status is Status.FAILED
         assert "step" in result.diagnostic or "shrink" in result.diagnostic
+
+    def test_failed_backtracking_counters(self):
+        class TurnsHostile(QuadraticTraceModel):
+            calls = 0
+
+            def value(self, u):
+                type(self).calls += 1
+                # honest for a few iterations, then no trial ever decreases
+                return super().value(u) if type(self).calls <= 30 else 1e6
+
+        model = TurnsHostile(random_symmetric(30, seed=13))
+        u0 = random_stiefel(30, 3, 14)
+        result = solve(model, u0, SolveConfig(strategy="backtracking", first_step=1.0))
+        assert result.status is Status.FAILED
+        assert "shrinks" in result.diagnostic
+        iters = result.iters
+        shrinks = sum(rec.backtracks for rec in result.trace)
+        assert iters > 0 and shrinks > 0
+        assert result.total_retraction_evals == iters + shrinks + MAX_BACKTRACKS + 1
+        assert (
+            result.total_energy_evals
+            == (iters + 1) + (iters + shrinks) + MAX_BACKTRACKS + 1
+            == TurnsHostile.calls
+        )
+
+    def test_nan_gradient_fails_cleanly(self):
+        class NanGradient(QuadraticTraceModel):
+            def euclidean_gradient(self, u):
+                return np.full(u.shape, np.nan)
+
+        result = solve(NanGradient(np.diag([1.0, 2.0, 3.0])), MIX13, SolveConfig())
+        assert result.status is Status.FAILED
+        assert "iteration 0: non-finite" in result.diagnostic
