@@ -12,14 +12,8 @@ from .linalg import (
     thin_qr,
 )
 from .manifold import (
-    PrincipalAngles,
     StiefelPoint,
     TangentVector,
-    connecting_direction,
-    dist_cf,
-    dist_geo,
-    parallel_transport,
-    principal_angles,
     project_tangent,
     retract_geodesic,
     retract_qr,

@@ -15,17 +15,7 @@ import numpy as np
 
 from . import stepsize as ss
 from .linalg import thin_qr
-from .manifold import (
-    StiefelPoint,
-    connecting_direction,
-    dist_cf,
-    dist_geo,
-    parallel_transport,
-    principal_angles,
-    project_tangent,
-    retract_geodesic,
-    retract_qr,
-)
+from .manifold import StiefelPoint, project_tangent, retract_geodesic, retract_qr
 from .objectives import (
     QuadraticTraceModel,
     grassmann_gradient,
@@ -118,56 +108,6 @@ def check_second_order_defect() -> CheckResult:
                     "second_order_defect", False, f"defects not decreasing: {defects}"
                 )
     return CheckResult("second_order_defect", True)
-
-
-def check_transport_isometry() -> CheckResult:
-    """Parallel transport preserves the Frobenius norm to 1e-10 and lands in
-    the tangent space at the endpoint (tangency drift <= 1e-9)."""
-    rng = np.random.default_rng(103)
-    worst_norm, worst_tan = 0.0, 0.0
-    for _ in range(200):
-        point = _random_point(rng, 25, 4)
-        direction = _random_tangent(rng, point)
-        vec = _random_tangent(rng, point)
-        t = 2.0 * rng.random()
-        moved = parallel_transport(point, direction, t, vec)
-        worst_norm = max(worst_norm, abs(moved.norm - vec.norm))
-        worst_tan = max(worst_tan, np.linalg.norm(moved.base.u.T @ moved.d))
-    ok = worst_norm <= 1e-10 and worst_tan <= 1e-9
-    return CheckResult(
-        "transport_isometry", ok, f"norm drift {worst_norm:.2e}, tangency {worst_tan:.2e}"
-    )
-
-
-def check_distance_sandwich() -> CheckResult:
-    """dist_cF <= dist_geo <= 2 dist_cF on 500 random pairs."""
-    rng = np.random.default_rng(104)
-    for _ in range(500):
-        a = _random_point(rng, 15, 3)
-        b = _random_point(rng, 15, 3)
-        cf, geo = dist_cf(a, b), dist_geo(a, b)
-        if not (cf <= geo + 1e-12 and geo <= 2.0 * cf + 1e-12):
-            return CheckResult(
-                "distance_sandwich", False, f"cf={cf}, geo={geo} violate sandwich"
-            )
-    return CheckResult("distance_sandwich", True)
-
-
-def check_geodesic_reconstruction() -> CheckResult:
-    """The geodesic launched with velocity A2 diag(theta) A^T reaches the
-    target subspace at t = 1 (endpoint distance <= 1e-8), and the velocity
-    norm equals dist_geo."""
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        a = _random_point(rng, 18, 3)
-        b = _random_point(rng, 18, 3)
-        angles = principal_angles(a, b)
-        velocity = connecting_direction(a, angles)
-        endpoint = retract_geodesic(a, velocity, 1.0)
-        gap = dist_geo(endpoint, b)
-        worst = max(worst, gap, abs(velocity.norm - dist_geo(a, b)))
-    return CheckResult("geodesic_reconstruction", worst <= 1e-8, f"max gap {worst:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +392,6 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
         check_retraction_axioms,
         check_feasibility,
         check_second_order_defect,
-        check_transport_isometry,
-        check_distance_sandwich,
-        check_geodesic_reconstruction,
     ],
     "objectives": [
         check_orthogonal_invariance,

@@ -1,13 +1,16 @@
 """Command-line harness: run a single solve, compare strategies on one
 problem instance, or run the property-check suites.
 
-Exit codes: 0 success, 1 usage/config error, 2 non-convergence.
+Exit codes: 0 success, 1 usage/config error or numerical failure (`failed`
+status), 2 iteration cap reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import sys
 import time
@@ -104,15 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(args: argparse.Namespace) -> None:
+def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Overlay a flat key=value file; command-line flags keep priority only
     for flags the file does not mention (file entries overwrite defaults and
-    explicit flags alike, simplest flat semantics)."""
+    explicit flags alike, simplest flat semantics).
+
+    Each entry is parsed as the flag `--key=value` of the same subcommand, so
+    it gets the flag's type and choices; a repeatable flag collects every
+    entry of its key into a list."""
     if not getattr(args, "config", None):
         return
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    from_file: set[str] = set()
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,19 +131,18 @@ def apply_config_file(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        current = getattr(args, attr)
+        flag = "--" + attr.replace("_", "-")
+        err = io.StringIO()
         try:
-            if isinstance(current, bool):
-                parsed = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            with contextlib.redirect_stderr(err):
+                parsed = getattr(parser.parse_args([args.command, f"{flag}={value}"]), attr)
+        except SystemExit:
+            reason = err.getvalue().strip().splitlines()[-1].partition("error: ")[2]
+            raise ConfigError(f"{path}:{lineno}: {reason}") from None
+        if isinstance(parsed, list) and attr in from_file:
+            parsed = getattr(args, attr) + parsed
         setattr(args, attr, parsed)
+        from_file.add(attr)
 
 
 def build_model(args) -> EnergyModel:
@@ -172,7 +179,6 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
         direction=args.direction,
         retraction=args.retraction,
         cg_restart_period=args.cg_restart_period,
-        seed=args.seed,
     )
 
 
@@ -328,7 +334,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        apply_config_file(args) if args.command in ("run", "compare") else None
+        if args.command in ("run", "compare"):
+            apply_config_file(args, parser)
         if args.command == "run":
             return cmd_run(args)
         if args.command == "compare":

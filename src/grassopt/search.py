@@ -56,7 +56,6 @@ class SolveConfig:
     direction: str = "steepest"
     retraction: str = "qr"
     cg_restart_period: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0.0:

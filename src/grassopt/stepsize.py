@@ -228,19 +228,15 @@ def backtracking_step(
     params: StepParams,
     c_ref: float,
     retraction: Retraction,
-    g: Optional[float] = None,
+    g: float,
 ) -> tuple[StepDecision, StiefelPoint]:
     """Shrink t by k until the non-monotone sufficient-decrease condition
-    E(ortho(U, D, t)) - C <= eta * t * <grad, D> holds.
+    E(ortho(U, D, t)) - C <= eta * t * g holds, where g = <grad, D> is the
+    slope along the direction.
 
     Each trial costs one retraction and one energy evaluation; the accepted
     trial point is returned so the caller need not recompute it.
     """
-    if g is None:
-        from .objectives import grassmann_gradient  # local to avoid cycle
-
-        grad = grassmann_gradient(model, point)
-        g = float(np.sum(grad.d * tangent.d))
     if g >= 0.0:
         raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
     t = max(t_initial, params.t_min)

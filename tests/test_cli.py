@@ -121,6 +121,32 @@ class TestConfigFile:
         cfg.write_text("n = banana\n")
         assert run_cli("run", "--config", str(cfg)) == 1
 
+    def test_misspelled_problem_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("problem = quadratc\nn = 10\np = 2\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("format = xml\nn = 10\np = 2\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_repeatable_flag_from_file(self, tmp_path):
+        """Each file entry for a repeatable flag is one list item; together
+        they replace the strategies given on the command line."""
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text("n = 20\np = 2\neps = 1e-8\nstrategy = backtracking\nstrategy = none\n")
+        out = tmp_path / "cmp.csv"
+        code = run_cli(
+            "compare", "--strategy", "adaptive", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["strategy"] for r in rows] == ["backtracking", "none"]
+
 
 class TestCompare:
     def test_adaptive_vs_backtracking_lattice(self, tmp_path, capsys):

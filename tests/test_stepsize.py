@@ -301,7 +301,7 @@ class TestBacktrackingStep:
     def test_small_initial_accepted(self):
         params = StepParams()
         decision, candidate = backtracking_step(
-            self.model, self.point, self.tangent, 1e-6, params, self.c, retract_qr
+            self.model, self.point, self.tangent, 1e-6, params, self.c, retract_qr, g=self.g
         )
         assert decision.backtracks == 0 and decision.initial_accepted
         assert decision.t == 1e-6
@@ -313,7 +313,7 @@ class TestBacktrackingStep:
     def test_large_initial_shrinks(self):
         params = StepParams()
         decision, candidate = backtracking_step(
-            self.model, self.point, self.tangent, 10.0, params, self.c, retract_qr
+            self.model, self.point, self.tangent, 10.0, params, self.c, retract_qr, g=self.g
         )
         assert decision.backtracks > 0 and not decision.initial_accepted
         assert decision.t == pytest.approx(10.0 * params.k**decision.backtracks)
@@ -343,7 +343,7 @@ class TestBacktrackingStep:
         t0 = t / params.k**2
         assert not probe(t0) and not probe(t0 * params.k) and probe(t0 * params.k**2)
         decision, _ = backtracking_step(
-            self.model, self.point, self.tangent, t0, params, self.c, retract_qr
+            self.model, self.point, self.tangent, t0, params, self.c, retract_qr, g=self.g
         )
         assert decision.backtracks == 2
         assert decision.t == pytest.approx(t0 / 4.0)
@@ -356,7 +356,7 @@ class TestBacktrackingStep:
         hostile = Hostile(np.diag([1.0, 100.0]))
         with pytest.raises(MaxBacktracks):
             backtracking_step(
-                hostile, self.point, self.tangent, 1.0, StepParams(), self.c, retract_qr
+                hostile, self.point, self.tangent, 1.0, StepParams(), self.c, retract_qr, g=self.g
             )
 
     def test_rejects_non_descent(self):
@@ -369,6 +369,7 @@ class TestBacktrackingStep:
                 StepParams(),
                 self.c,
                 retract_qr,
+                g=-self.g,
             )
 
 
