@@ -176,8 +176,8 @@ def check_gradient_tangency() -> CheckResult:
 
 class _DoubledGradient(QuadraticTraceModel):
     """Redefines only the gradient, so it must not inherit the fused
-    evaluate of QuadraticTraceModel (a deliberately wrong gradient shows
-    which one ran)."""
+    evaluate or the apply_operator of QuadraticTraceModel (a deliberately
+    wrong gradient shows which evaluate ran)."""
 
     def euclidean_gradient(self, u):
         return 2.0 * (self.a @ u)
@@ -185,22 +185,29 @@ class _DoubledGradient(QuadraticTraceModel):
 
 def check_evaluate_consistency() -> CheckResult:
     """evaluate(U) returns (value(U), euclidean_gradient(U)) bit-for-bit, for
-    both models and for a subclass that redefines only the gradient."""
+    both models and for a subclass that redefines only the gradient (which
+    loses apply_operator); so does evaluate(U, A U) for a model with
+    apply_operator."""
+    if _DoubledGradient.apply_operator is not None:
+        return CheckResult("evaluate_consistency", False, "subclass kept apply_operator")
     rng = np.random.default_rng(206)
     for _ in range(20):
         models = _models(rng)
         models.append((_DoubledGradient(models[0][0].a), 24, 4))
         for model, n, p in models:
             u = _random_point(rng, n, p).u
-            energy, egrad = model.evaluate(u)
-            if energy != model.value(u):
-                return CheckResult(
-                    "evaluate_consistency", False, f"{type(model).__name__}: energy differs"
-                )
-            if not np.array_equal(egrad, model.euclidean_gradient(u)):
-                return CheckResult(
-                    "evaluate_consistency", False, f"{type(model).__name__}: gradient differs"
-                )
+            evaluations = [model.evaluate(u)]
+            if model.apply_operator is not None:
+                evaluations.append(model.evaluate(u, model.apply_operator(u)))
+            for energy, egrad in evaluations:
+                if energy != model.value(u):
+                    return CheckResult(
+                        "evaluate_consistency", False, f"{type(model).__name__}: energy differs"
+                    )
+                if not np.array_equal(egrad, model.euclidean_gradient(u)):
+                    return CheckResult(
+                        "evaluate_consistency", False, f"{type(model).__name__}: gradient differs"
+                    )
     return CheckResult("evaluate_consistency", True)
 
 

@@ -2,7 +2,8 @@
 problem instance, or run the property-check suites.
 
 Exit codes: 0 success, 1 usage/config error or numerical failure (`failed`
-status), 2 iteration cap reached.
+status), 2 iteration cap reached.  `compare` exits with the code of its worst
+solve: 1 if any failed, else 2 if any reached the cap.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ TRACE_COLUMNS = (
     "backtracks",
     "estimator",
     "direction_reset",
+    "initial_accepted",
+    "clamp_reason",
     "elapsed_s",
 )
 
@@ -192,6 +195,8 @@ def write_trace(result: SolveResult, path: Path, fmt: str) -> None:
             "backtracks": rec.backtracks,
             "estimator": "" if rec.estimator is None else _fmt(rec.estimator),
             "direction_reset": int(rec.direction_reset),
+            "initial_accepted": int(rec.initial_accepted),
+            "clamp_reason": rec.clamp_reason,
             "elapsed_s": _fmt(rec.elapsed),
         }
         for rec in result.trace
@@ -218,8 +223,22 @@ def summary_dict(result: SolveResult, wallclock: float) -> dict:
         "final_residual": result.final_residual,
         "energy_evals": result.total_energy_evals,
         "retraction_evals": result.total_retraction_evals,
+        # how often the initial (BB) guess was accepted as the step
+        "initial_accepted_share": (
+            sum(rec.initial_accepted for rec in result.trace) / max(1, result.iters)
+        ),
         "wallclock_s": wallclock,
     }
+
+
+def exit_code(result: SolveResult, label: str = "") -> int:
+    """0 converged, 2 iteration cap, 1 failed (diagnostic on stderr)."""
+    if result.status is Status.CONVERGED:
+        return 0
+    if result.status is Status.MAX_ITERATIONS:
+        return 2
+    print(f"error: {label}{result.diagnostic}", file=sys.stderr)
+    return 1
 
 
 def cmd_run(args) -> int:
@@ -236,12 +255,7 @@ def cmd_run(args) -> int:
     summary_path = out.with_suffix(out.suffix + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=1))
     print(json.dumps(summary, indent=1))
-    if result.status is Status.CONVERGED:
-        return 0
-    if result.status is Status.MAX_ITERATIONS:
-        return 2
-    print(f"error: {result.diagnostic}", file=sys.stderr)
-    return 1
+    return exit_code(result)
 
 
 COMPARE_COLUMNS = (
@@ -266,12 +280,14 @@ def cmd_compare(args) -> int:
     u0 = build_start(args, model)  # shared start: fairness across strategies
 
     rows = []
+    codes = []
     for strategy in strategies:
         for bb_mode in bb_modes:
             config = build_solver_config(args, strategy, bb_mode)
             tic = time.perf_counter()
             result = solve(model, u0, config)
             wct = time.perf_counter() - tic
+            codes.append(exit_code(result, f"{strategy}/{bb_mode}: "))
             rows.append(
                 {
                     "strategy": strategy,
@@ -312,7 +328,7 @@ def cmd_compare(args) -> int:
             for key in ("energy", "final_residual", "wct_s", "atpi_s"):
                 formatted[key] = _fmt(row[key])
             writer.writerow(formatted)
-    return 0
+    return 1 if 1 in codes else max(codes)
 
 
 def cmd_check(args) -> int:

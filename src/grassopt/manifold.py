@@ -86,8 +86,15 @@ def retract_qr(point: StiefelPoint, tangent: TangentVector, t: float) -> Stiefel
     """QR retraction: Q factor of U + t D (positive-diagonal convention)."""
     if t == 0.0:
         return point
-    q, _ = thin_qr(point.u + t * tangent.d)
-    return StiefelPoint(q)
+    return retract_qr_factors(point, tangent, t)[0]
+
+
+def retract_qr_factors(
+    point: StiefelPoint, tangent: TangentVector, t: float
+) -> tuple[StiefelPoint, np.ndarray]:
+    """QR retraction together with its p-by-p factor: U + t D = U_new R."""
+    q, r = thin_qr(point.u + t * tangent.d)
+    return StiefelPoint(q), r
 
 
 def retract_geodesic(

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .linalg import ShapeMismatch, sym_eig
 from .manifold import StiefelPoint, TangentVector, project_tangent
+
+# redefining any of these drops a parent's apply_operator
+_EXACT_METHODS = ("value", "euclidean_gradient", "hessian_apply", "evaluate")
 
 
 class EnergyModel(abc.ABC):
@@ -26,13 +29,27 @@ class EnergyModel(abc.ABC):
     return.  A subclass that redefines either of those without redefining
     `evaluate` falls back to the composed default, so a fused `evaluate`
     inherited from a parent never bypasses the subclass's definitions.
+
+    A model whose energy is tr(U^T A U)/2 plus terms that need no product
+    with A may define `apply_operator(x) -> A x`.  Its `evaluate(u, au)` and
+    `hessian_apply(u, d, ad)` must then accept the products A U and A D in
+    place of computing them, and return bit-for-bit what they return without
+    them.  `solve` uses this to carry A U across QR retractions.  A subclass
+    that redefines `value`, `euclidean_gradient`, `hessian_apply` or
+    `evaluate` without redefining `apply_operator` loses it, so it is always
+    evaluated through its own definitions.
     """
+
+    # A x for the model's linear operator, or None if the model has none
+    apply_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         if "evaluate" not in own and ("value" in own or "euclidean_gradient" in own):
             cls.evaluate = EnergyModel.evaluate
+        if "apply_operator" not in own and not own.keys().isdisjoint(_EXACT_METHODS):
+            cls.apply_operator = None
 
     @abc.abstractmethod
     def value(self, u: np.ndarray) -> float: ...
@@ -43,8 +60,8 @@ class EnergyModel(abc.ABC):
     @abc.abstractmethod
     def hessian_apply(self, u: np.ndarray, d: np.ndarray) -> np.ndarray: ...
 
-    def evaluate(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(E(U), Euclidean gradient of E at U)."""
+    def evaluate(self, u: np.ndarray, au: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
+        """(E(U), Euclidean gradient of E at U); `au` is ignored here."""
         return self.value(u), self.euclidean_gradient(u)
 
 
@@ -72,12 +89,16 @@ class QuadraticTraceModel(EnergyModel):
     def euclidean_gradient(self, u):
         return self.a @ u
 
-    def evaluate(self, u):
-        au = self.a @ u
+    def apply_operator(self, x):
+        return self.a @ x
+
+    def evaluate(self, u, au=None):
+        if au is None:
+            au = self.a @ u
         return 0.5 * float(np.sum(u * au)), au
 
-    def hessian_apply(self, u, d):
-        return self.a @ d
+    def hessian_apply(self, u, d, ad=None):
+        return self.a @ d if ad is None else ad
 
 
 @dataclass(frozen=True)
@@ -127,8 +148,13 @@ class NonlinearLatticeModel(EnergyModel):
     def euclidean_gradient(self, u):
         return self._gradient(u, self.a @ u, self.density(u))
 
-    def evaluate(self, u):
-        au, rho = self.a @ u, self.density(u)
+    def apply_operator(self, x):
+        return self.a @ x
+
+    def evaluate(self, u, au=None):
+        if au is None:
+            au = self.a @ u
+        rho = self.density(u)
         return self._energy(u, au, rho), self._gradient(u, au, rho)
 
     def _energy(self, u, au, rho):
@@ -144,11 +170,11 @@ class NonlinearLatticeModel(EnergyModel):
             + 2.0 * self.gamma * self.h * (rho[:, None] * u)
         )
 
-    def hessian_apply(self, u, d):
+    def hessian_apply(self, u, d, ad=None):
         rho = self.density(u)
         sigma = np.sum(u * d, axis=1)
         return (
-            self.a @ d
+            (self.a @ d if ad is None else ad)
             + 2.0 * self.h * (self.v[:, None] * d)
             + 2.0 * self.gamma * self.h * (rho[:, None] * d + 2.0 * sigma[:, None] * u)
         )
@@ -201,16 +227,18 @@ def grassmann_hessian_qform(
     point: StiefelPoint,
     tangent: TangentVector,
     egrad: Optional[np.ndarray] = None,
+    ad: Optional[np.ndarray] = None,
 ) -> float:
     """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)).
 
     `egrad` is the Euclidean gradient at `point` if the caller already has
-    it; otherwise it is computed here.
+    it; otherwise it is computed here.  `ad` is the product A D of a model
+    with `apply_operator`, passed on to its `hessian_apply`.
     """
     u, d = point.u, tangent.d
     if egrad is None:
         egrad = model.euclidean_gradient(u)
-    hd = model.hessian_apply(u, d)
+    hd = model.hessian_apply(u, d) if ad is None else model.hessian_apply(u, d, ad)
     curvature = float(np.sum(d * hd))
     correction = float(np.trace((d.T @ d) @ (u.T @ egrad)))
     return curvature - correction

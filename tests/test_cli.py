@@ -56,6 +56,21 @@ class TestRun:
                 val = float(row[key])
                 assert f"{val:.17e}" == row[key]
 
+    def test_step_decisions_in_trace_and_summary(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "32", "--p", "2",
+            "--seed", "4", "--eps", "1e-8", "--out", str(out),
+        ) == 0
+        rows = read_trace(out)
+        assert {row["initial_accepted"] for row in rows} == {"0", "1"}
+        assert {row["clamp_reason"] for row in rows} <= {
+            "none", "trust_radius", "floor", "curvature_minimizer"
+        }
+        summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+        accepted = sum(row["initial_accepted"] == "1" for row in rows)
+        assert summary["initial_accepted_share"] == accepted / len(rows)
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "trace.json"
         assert run_cli(
@@ -187,10 +202,19 @@ class TestCompare:
             "--strategy", "adaptive", "--strategy", "none",
             "--out", str(out),
         )
-        assert code == 0
+        assert code == 2  # both solves stop at the cap
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+    def test_exit_code_of_worst_solve(self, tmp_path, capsys):
+        code = run_cli(
+            "compare", "--n", "20", "--p", "2", "--max-iter", "50",
+            "--strategy", "backtracking", "--strategy", "none",
+            "--out", str(tmp_path / "cmp.csv"),
+        )
+        assert capsys.readouterr().out.count("max_iterations") == 2
+        assert code == 2
 
     def test_shared_start_fairness(self, tmp_path):
         """All strategies see the same U0: the iteration-0 energy in their

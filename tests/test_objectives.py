@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from grassopt import (
+    EnergyModel,
     NonlinearLatticeModel,
     QuadraticTraceModel,
     ShapeMismatch,
@@ -154,6 +155,61 @@ class TestEvaluate:
         assert Plain.evaluate is QuadraticTraceModel.evaluate
         u = E1.u
         assert Shifted(DIAG123.a).evaluate(u)[0] == DIAG123.value(u) + 1.0
+
+
+class TestSuppliedProducts:
+    """apply_operator(x) is A x, and evaluate / hessian_apply return the same
+    bits from a supplied product as without it."""
+
+    @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice], ids=["quadratic", "lattice"])
+    def test_bit_identical_with_supplied_products(self, make):
+        model = make()
+        for seed in range(5):
+            point = random_stiefel(model.a.shape[0], 2, seed)
+            u, d = point.u, random_tangent(point, seed + 10).d
+            au = model.apply_operator(u)
+            npt.assert_array_equal(au, model.a @ u)
+            energy, egrad = model.evaluate(u, au)
+            assert energy == model.evaluate(u)[0]
+            npt.assert_array_equal(egrad, model.evaluate(u)[1])
+            npt.assert_array_equal(
+                model.hessian_apply(u, d, model.apply_operator(d)), model.hessian_apply(u, d)
+            )
+
+    @pytest.mark.parametrize(
+        "method", ["value", "euclidean_gradient", "hessian_apply", "evaluate"]
+    )
+    def test_redefining_a_method_drops_apply_operator(self, method):
+        body = {method: getattr(QuadraticTraceModel, method)}
+        redefined = type("Redefined", (QuadraticTraceModel,), body)
+        assert redefined(DIAG123.a).apply_operator is None
+
+    def test_apply_operator_inherited_or_redefined_is_kept(self):
+        class Plain(NonlinearLatticeModel):
+            pass
+
+        class OptedIn(QuadraticTraceModel):
+            def apply_operator(self, x):
+                return super().apply_operator(x)
+
+            def evaluate(self, u, au=None):
+                return super().evaluate(u, au)
+
+        assert Plain.apply_operator is NonlinearLatticeModel.apply_operator
+        assert OptedIn(DIAG123.a).apply_operator(E1.u)[0, 0] == 1.0
+
+    def test_wrapper_has_no_apply_operator(self):
+        class Wrapper(EnergyModel):
+            def value(self, u):
+                return DIAG123.value(u)
+
+            def euclidean_gradient(self, u):
+                return DIAG123.euclidean_gradient(u)
+
+            def hessian_apply(self, u, d):
+                return DIAG123.hessian_apply(u, d)
+
+        assert Wrapper().apply_operator is None
 
 
 class TestOrthogonalInvariance:

@@ -4,6 +4,7 @@ import pytest
 
 from grassopt import (
     EnergyModel,
+    NonlinearLatticeModel,
     QuadraticTraceModel,
     SolveConfig,
     Status,
@@ -13,10 +14,12 @@ from grassopt import (
     eigen_oracle,
     grassmann_gradient,
     harmonic_lattice,
+    project_tangent,
     random_symmetric,
     solve,
     steepest_direction,
 )
+from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
 
 from conftest import random_stiefel, random_tangent
@@ -240,6 +243,81 @@ class TestEvaluationProtocol:
             expect += ["evaluate"] + ["value"] * (1 + rec.backtracks)
         assert log == expect + ["evaluate"]
         assert result.total_energy_evals == len(log)
+
+
+class CarriedLog(NonlinearLatticeModel):
+    """Keeps apply_operator and logs every (U, supplied A U) it evaluates."""
+
+    def apply_operator(self, x):
+        return super().apply_operator(x)
+
+    def evaluate(self, u, au=None):
+        self.seen.append((u, au))
+        return super().evaluate(u, au)
+
+
+def carried_log(base):
+    model = CarriedLog(a=base.a, v=base.v, h=base.h, gamma=base.gamma)
+    object.__setattr__(model, "seen", [])
+    return model
+
+
+class TestCarriedProduct:
+    """Adaptive QR solves of the concrete models carry A U across iterations;
+    wrappers and subclasses that redefine a model method evaluate exactly."""
+
+    MODELS = [
+        lambda: (QuadraticTraceModel(random_symmetric(60, seed=21)), random_stiefel(60, 3, 22)),
+        lambda: (harmonic_lattice(48), random_stiefel(48, 3, 23)),
+    ]
+
+    @pytest.mark.parametrize("make", MODELS, ids=["quadratic", "lattice"])
+    def test_wrapper_takes_exact_path_to_same_result(self, make):
+        model, u0 = make()
+        config = SolveConfig(epsilon=1e-8, max_iter=10000)
+        carried = solve(model, u0, config)
+        wrapped = CallLog(model)
+        exact = solve(wrapped, u0, config)
+        assert wrapped.log[:2] == ["evaluate", "hessian_apply"]
+        assert carried.status is exact.status is Status.CONVERGED
+        assert abs(carried.final_energy - exact.final_energy) <= 1e-10 * abs(exact.final_energy)
+        assert carried.total_energy_evals == carried.iters + 1
+        assert carried.total_retraction_evals == carried.iters
+
+    @pytest.mark.parametrize("max_iter", [10000, CARRY_REFRESH + 7], ids=["converged", "cap"])
+    @pytest.mark.parametrize("make", MODELS, ids=["quadratic", "lattice"])
+    def test_reported_values_are_exact(self, make, max_iter):
+        model, u0 = make()
+        result = solve(model, u0, SolveConfig(epsilon=1e-8, max_iter=max_iter))
+        expected = Status.CONVERGED if max_iter == 10000 else Status.MAX_ITERATIONS
+        assert result.status is expected
+        energy, egrad = model.evaluate(result.final_point.u)
+        assert result.final_energy == energy
+        assert result.final_residual == project_tangent(result.final_point, egrad).norm
+
+    def test_drift_before_refresh_within_bound(self):
+        model = carried_log(harmonic_lattice(512, gamma=1.0))
+        config = SolveConfig(epsilon=1e-14, max_iter=8 * CARRY_REFRESH)
+        solve(model, random_stiefel(512, 4, 0), config)
+        drifts = []
+        for n, (u, au) in enumerate(model.seen[:-1]):  # the last is the exact exit
+            exact = model.a @ u
+            if n % CARRY_REFRESH == 0:
+                npt.assert_array_equal(au, exact)
+            elif n % CARRY_REFRESH == CARRY_REFRESH - 1:
+                drifts.append(np.linalg.norm(au - exact) / np.linalg.norm(exact))
+        assert len(drifts) == 8
+        assert 0.0 < max(drifts) <= CARRY_DRIFT_BOUND
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"strategy": "backtracking"}, {"strategy": "none"}, {"retraction": "geodesic"}],
+    )
+    def test_other_paths_evaluate_exactly(self, kwargs):
+        model = carried_log(harmonic_lattice(48))
+        config = SolveConfig(epsilon=1e-14, max_iter=20, **kwargs)
+        solve(model, random_stiefel(48, 3, 23), config)
+        assert model.seen and all(au is None for _, au in model.seen)
 
 
 class TestLatticeSolve:
