@@ -15,7 +15,13 @@ import numpy as np
 
 from . import stepsize as ss
 from .linalg import thin_qr
-from .manifold import StiefelPoint, project_tangent, retract_geodesic, retract_qr
+from .manifold import (
+    StiefelPoint,
+    project_tangent,
+    retract_geodesic,
+    retract_qr,
+    retract_qr_factors,
+)
 from .objectives import (
     QuadraticTraceModel,
     grassmann_gradient,
@@ -46,6 +52,11 @@ def _random_orthogonal(rng, p) -> np.ndarray:
     return q
 
 
+def _retract_carried(point, tangent, t):
+    """The frame of retract_qr_factors, the retraction of the carried path."""
+    return retract_qr_factors(point, tangent, t)[0]
+
+
 # ---------------------------------------------------------------------------
 # geometry suite
 # ---------------------------------------------------------------------------
@@ -53,10 +64,11 @@ def _random_orthogonal(rng, p) -> np.ndarray:
 
 def check_retraction_axioms() -> CheckResult:
     """retract(U, D, 0) = U exactly, and (retract(U, D, h) - U)/h -> D with
-    O(h) error (first-order decay observed across h = 1e-3, 1e-4, 1e-5)."""
+    O(h) error (first-order decay observed across h = 1e-3, 1e-4, 1e-5), for
+    the QR, geodesic and carried (Cholesky QR) retractions."""
     rng = np.random.default_rng(100)
     worst = 0.0
-    for retract in (retract_qr, retract_geodesic):
+    for retract in (retract_qr, retract_geodesic, _retract_carried):
         for _ in range(20):
             point = _random_point(rng, 25, 4)
             tangent = _random_tangent(rng, point)
@@ -76,14 +88,20 @@ def check_retraction_axioms() -> CheckResult:
 
 
 def check_feasibility() -> CheckResult:
-    """1000 random retractions with t in [0, 10] keep ||U^T U - I|| <= 1e-10."""
+    """1000 random retractions with t in [0, 10] keep ||U^T U - I|| <= 1e-10,
+    and so do 500 carried retractions with t ||D|| in [0, 2], half of them
+    past the Householder fallback at t ||D|| = 1."""
     rng = np.random.default_rng(101)
     worst = 0.0
-    for i in range(1000):
+    for i in range(1500):
         point = _random_point(rng, 20, 3)
         tangent = _random_tangent(rng, point)
-        t = 10.0 * rng.random()
-        retract = retract_qr if i % 2 == 0 else retract_geodesic
+        if i < 1000:
+            t = 10.0 * rng.random()
+            retract = retract_qr if i % 2 == 0 else retract_geodesic
+        else:
+            t = 2.0 * rng.random() / tangent.norm
+            retract = _retract_carried
         new = retract(point, tangent, t)
         worst = max(
             worst, np.linalg.norm(new.u.T @ new.u - np.eye(new.shape[1]))

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,9 @@ def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def build_model(args) -> EnergyModel:
+    for flag in ("n", "p", "npts"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if args.problem == "quadratic":
         if args.matrix_file:
             mat = load_matrix(args.matrix_file)
@@ -227,6 +231,8 @@ def summary_dict(result: SolveResult, wallclock: float) -> dict:
         "initial_accepted_share": (
             sum(rec.initial_accepted for rec in result.trace) / max(1, result.iters)
         ),
+        # iterations per clamp_reason: why steps were clamped
+        "clamp_reasons": dict(Counter(rec.clamp_reason for rec in result.trace)),
         "wallclock_s": wallclock,
     }
 

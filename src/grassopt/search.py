@@ -10,6 +10,11 @@ With the adaptive step, the QR retraction and a model that has
 next: U_new R = U + t D gives A U_new = (A U + t A D) R^-1, so an iteration
 applies A once, to D.  The carried product is replaced by an exact one every
 CARRY_REFRESH iterations, and every exit reports an exact evaluation.
+
+The frames and tangents the loop builds are not validated one by one; the
+orthonormality of the iterate is checked at entry, at every exact refresh
+of the carried product and at exit.  A defect above ORTHO_TOL ends the solve
+as FAILED.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .manifold import (
     StiefelPoint,
     TangentVector,
     ORTHO_TOL,
+    _trusted_tangent,
+    ortho_defect,
     project_tangent,
     retract_geodesic,
     retract_qr,
@@ -146,7 +153,7 @@ def cg_direction(
     if denom > 0.0:
         beta = float(np.sum(g_new.d * (g_new.d - g_old_here.d))) / denom
     beta = max(0.0, beta)
-    d = TangentVector(-g_new.d + beta * d_old_here.d, u_new)
+    d = _trusted_tangent(-g_new.d + beta * d_old_here.d, u_new)
     slope = float(np.sum(g_new.d * d.d))
     if slope > -_CG_DESCENT_TOL * g_new.norm**2 or d.norm > _CG_GROWTH * g_new.norm:
         return steepest_direction(g_new), True
@@ -168,7 +175,7 @@ def _evaluate(model: EnergyModel, point: StiefelPoint, au: Optional[np.ndarray])
 def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveResult:
     """Run the line-search loop until the Grassmann gradient norm drops
     below epsilon, the iteration cap is hit, or a numerical failure occurs."""
-    defect = np.linalg.norm(u0.u.T @ u0.u - np.eye(u0.shape[1]))
+    defect = ortho_defect(u0.u)
     if not defect <= ORTHO_TOL:
         raise ValueError(f"initial point infeasible: defect {defect:.3e}")
 
@@ -204,6 +211,12 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     residual = math.nan
     while True:
         tic = time.perf_counter()
+        if carry and not carried and n > 0:
+            defect = ortho_defect(point.u)
+            if not defect <= ORTHO_TOL:
+                status = Status.FAILED
+                diagnostic = f"iteration {n}: orthonormality defect {defect:.3e}"
+                break
         try:
             energy_evals += 1
             if carry and not carried:
@@ -258,10 +271,9 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 )
                 if carry:
                     retraction_evals += 1
-                    next_point, r = retract_qr_factors(point, direction, decision.t)
+                    next_point, r_inv = retract_qr_factors(point, direction, decision.t)
                     carried = (n + 1) % CARRY_REFRESH != 0
-                    # t ||D|| <= theta keeps R well conditioned, so inv(R) is safe
-                    au = (au + decision.t * ad) @ np.linalg.inv(r) if carried else None
+                    au = (au + decision.t * ad) @ r_inv if carried else None
                 else:
                     next_point = retraction(point, direction, decision.t)
             elif config.strategy == "backtracking":
@@ -316,6 +328,10 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         # the step failed after a carried evaluation: report the iterate exactly
         with contextlib.suppress(LinalgError, FloatingPointError):
             energy, _, _, residual = _evaluate(model, point, model.apply_operator(point.u))
+    defect = ortho_defect(point.u)
+    if not defect <= ORTHO_TOL and status is not Status.FAILED:
+        status = Status.FAILED
+        diagnostic = f"iteration {n}: orthonormality defect {defect:.3e} at exit"
 
     return SolveResult(
         status=status,

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ class TestRun:
         accepted = sum(row["initial_accepted"] == "1" for row in rows)
         assert summary["initial_accepted_share"] == accepted / len(rows)
 
+    def test_clamp_reasons_in_summary(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "32", "--p", "2",
+            "--seed", "4", "--eps", "1e-8", "--out", str(out),
+        ) == 0
+        reasons = Counter(row["clamp_reason"] for row in read_trace(out))
+        summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+        assert summary["clamp_reasons"] == dict(reasons)
+        assert sum(summary["clamp_reasons"].values()) == summary["iters"]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "trace.json"
         assert run_cli(
@@ -106,6 +118,25 @@ class TestRun:
 
     def test_p_larger_than_n_rejected(self, tmp_path):
         assert run_cli("run", "--n", "3", "--p", "5", "--out", str(tmp_path / "t.csv")) == 1
+
+    @pytest.mark.parametrize(
+        "problem, flag, value",
+        [
+            ("quadratic", "--p", "-1"),
+            ("quadratic", "--p", "0"),
+            ("quadratic", "--n", "0"),
+            ("lattice", "--npts", "0"),
+        ],
+    )
+    def test_size_below_one_rejected(self, tmp_path, capsys, problem, flag, value):
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", problem, "--n", "10", "--p", "1", flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert f"error: {flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -215,6 +246,15 @@ class TestCompare:
         )
         assert capsys.readouterr().out.count("max_iterations") == 2
         assert code == 2
+
+    def test_p_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code = run_cli(
+            "compare", "--problem", "lattice", "--npts", "16", "--p", "0", "--out", str(out)
+        )
+        assert code == 1
+        assert "error: --p must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shared_start_fairness(self, tmp_path):
         """All strategies see the same U0: the iteration-0 energy in their

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassopt import (
+    ConvergenceFailure,
+    RankDeficient,
     ShapeMismatch,
     StiefelPoint,
     TangentVector,
@@ -12,6 +14,7 @@ from grassopt import (
     retract_geodesic,
     retract_qr,
 )
+from grassopt.manifold import CHOLESKY_QR_MAX_STEP, retract_qr_factors
 from grassopt.checks import run_suite
 
 from conftest import random_stiefel, random_tangent
@@ -118,6 +121,51 @@ class TestRetractions:
         zero = TangentVector(np.zeros(point.shape), point)
         for t in (0.5, 3.0):
             npt.assert_allclose(retract_geodesic(point, zero, t).u, point.u, atol=1e-14)
+
+
+class TestCarriedRetraction:
+    """retract_qr_factors: Cholesky QR up to t ||D|| = CHOLESKY_QR_MAX_STEP,
+    Householder beyond; both return the frame of retract_qr and R^-1."""
+
+    @pytest.mark.parametrize("step", [0.2, CHOLESKY_QR_MAX_STEP, 1.5, 5.0])
+    @pytest.mark.parametrize("shape", [(20, 4), (200, 10)])
+    def test_same_frame_as_householder_and_inverse_factor(self, shape, step):
+        point = random_stiefel(*shape, 9)
+        tangent = random_tangent(point, 10)
+        t = step / tangent.norm
+        new, r_inv = retract_qr_factors(point, tangent, t)
+        npt.assert_allclose(new.u, retract_qr(point, tangent, t).u, rtol=0, atol=1e-13)
+        # U + t D = U_new R, the identity the carried product A U relies on
+        npt.assert_allclose((point.u + t * tangent.d) @ r_inv, new.u, rtol=0, atol=1e-13)
+        assert np.all(np.diag(r_inv) > 0.0)
+        assert np.linalg.norm(new.u.T @ new.u - np.eye(shape[1])) <= 1e-14
+        assert not new.u.flags.writeable
+
+    def test_zero_step_exact(self):
+        point = random_stiefel(12, 4, 4)
+        new, r_inv = retract_qr_factors(point, random_tangent(point, 5), 0.0)
+        assert new is point
+        npt.assert_array_equal(r_inv, np.eye(4))
+
+    @staticmethod
+    def unchecked_direction(d, base):
+        # bypass the tangency check to present a direction no solver builds
+        tangent = TangentVector.__new__(TangentVector)
+        object.__setattr__(tangent, "d", np.asarray(d, dtype=float))
+        object.__setattr__(tangent, "base", base)
+        return tangent
+
+    def test_singular_gram_raises_rank_deficient(self):
+        # U + 1 * (-U) = 0 within the Cholesky regime
+        with pytest.raises(RankDeficient):
+            retract_qr_factors(E1, self.unchecked_direction(-E1.u, E1), 1.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["cholesky", "householder"])
+    def test_non_finite_raises_convergence_failure(self, entry):
+        # a NaN norm fails the t ||D|| > 1 test, an infinite one passes it
+        bad = self.unchecked_direction([[0.0], [entry]], E1)
+        with pytest.raises(ConvergenceFailure):
+            retract_qr_factors(E1, bad, 1e-3)
 
 
 def test_geometry_suite_passes():

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassopt import (
     EnergyModel,
@@ -19,6 +21,8 @@ from grassopt import (
     solve,
     steepest_direction,
 )
+from grassopt import search
+from grassopt.manifold import _trusted_point
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
 
@@ -320,6 +324,43 @@ class TestCarriedProduct:
         assert model.seen and all(au is None for _, au in model.seen)
 
 
+def nudged(point):
+    """`point` scaled off the manifold, built unchecked as the solver builds
+    its frames, so no constructor notices."""
+    return _trusted_point((1.0 + 1e-9) * point.u)
+
+
+class TestOrthonormalityChecks:
+    """The iterate's orthonormality is checked at exact refreshes of the
+    carried product and at exit; a defect ends the solve as FAILED."""
+
+    model = QuadraticTraceModel(random_symmetric(30, seed=13))
+    u0 = random_stiefel(30, 3, 14)
+
+    def test_defect_fails_carried_solve_at_refresh(self, monkeypatch):
+        retract = search.retract_qr_factors
+
+        def off_manifold(point, tangent, t):
+            new, r_inv = retract(point, tangent, t)
+            return nudged(new), r_inv
+
+        monkeypatch.setattr(search, "retract_qr_factors", off_manifold)
+        result = solve(self.model, self.u0, SolveConfig(epsilon=1e-14, max_iter=500))
+        assert result.status is Status.FAILED
+        assert result.iters == CARRY_REFRESH
+        assert result.diagnostic.startswith(f"iteration {CARRY_REFRESH}: orthonormality defect")
+
+    @pytest.mark.parametrize("strategy", ["adaptive", "backtracking", "none"])
+    def test_defect_fails_exact_solve_at_exit(self, monkeypatch, strategy):
+        retract = search.retract_qr
+        monkeypatch.setattr(search, "retract_qr", lambda *args: nudged(retract(*args)))
+        config = SolveConfig(epsilon=1e-14, max_iter=5, strategy=strategy)
+        result = solve(CallLog(self.model), self.u0, config)
+        assert result.status is Status.FAILED
+        assert result.iters == 5
+        assert "orthonormality defect" in result.diagnostic
+
+
 class TestLatticeSolve:
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
     def test_strategies_agree(self, strategy):
@@ -394,3 +435,47 @@ class TestFailureHandling:
         result = solve(NanGradient(np.diag([1.0, 2.0, 3.0])), MIX13, SolveConfig())
         assert result.status is Status.FAILED
         assert "iteration 0: non-finite" in result.diagnostic
+
+
+class TestSolveProperties:
+    """Over small random instances of both models, every strategy and both
+    retractions: the final frame is orthonormal, the counters are the totals
+    the trace implies, and the status agrees with the final residual."""
+
+    eps = 1e-8
+
+    @given(
+        n=st.integers(4, 24),
+        p=st.integers(1, 3),
+        problem=st.sampled_from(["quadratic", "lattice"]),
+        gamma=st.floats(0.0, 2.0),
+        strategy=st.sampled_from(["adaptive", "backtracking", "none"]),
+        retraction=st.sampled_from(["qr", "geodesic"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solve_invariants(self, n, p, problem, gamma, strategy, retraction, seed):
+        if problem == "quadratic":
+            model = QuadraticTraceModel(random_symmetric(n, seed=seed))
+        else:
+            model = harmonic_lattice(n, length=6.0, gamma=gamma)
+        config = SolveConfig(
+            epsilon=self.eps, max_iter=300, strategy=strategy, retraction=retraction
+        )
+        result = solve(model, random_stiefel(n, p, seed), config)
+
+        u = result.final_point.u
+        assert np.linalg.norm(u.T @ u - np.eye(p)) <= 1e-10
+
+        trials = result.iters
+        if strategy == "backtracking":
+            trials = sum(rec.backtracks + 1 for rec in result.trace)
+            if "shrinks" in result.diagnostic:  # the failed step's trials
+                trials += MAX_BACKTRACKS + 1
+        assert result.total_retraction_evals == trials
+        extra = trials if strategy == "backtracking" else 0
+        assert result.total_energy_evals == result.iters + 1 + extra
+
+        if result.status is not Status.FAILED:
+            converged = result.final_residual <= self.eps
+            assert (result.status is Status.CONVERGED) == converged
