@@ -22,6 +22,7 @@ from .objectives import (
     EnergyModel,
     NonlinearLatticeModel,
     QuadraticTraceModel,
+    TraceDensityModel,
     eigen_oracle,
     grassmann_gradient,
     grassmann_hessian_qform,

@@ -9,6 +9,7 @@ gradient and Hessian quadratic form are assembled on top.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,39 +18,25 @@ import numpy as np
 from .linalg import ShapeMismatch, sym_eig
 from .manifold import StiefelPoint, TangentVector, project_tangent
 
-# redefining any of these drops a parent's apply_operator
-_EXACT_METHODS = ("value", "euclidean_gradient", "hessian_apply", "evaluate")
-
 
 class EnergyModel(abc.ABC):
     """Smooth energy E(U) invariant under U -> U P for orthogonal P.
 
-    `evaluate` may be overridden to share work between the energy and the
-    gradient; it must return exactly what `value` and `euclidean_gradient`
-    return.  A subclass that redefines either of those without redefining
-    `evaluate` falls back to the composed default, so a fused `evaluate`
-    inherited from a parent never bypasses the subclass's definitions.
+    `evaluate` returns (value(U), euclidean_gradient(U)); a model may fuse
+    the two to share work, but must return exactly what they return.
 
-    A model whose energy is tr(U^T A U)/2 plus terms that need no product
-    with A may define `apply_operator(x) -> A x`.  Its `evaluate(u, au)` and
-    `hessian_apply(u, d, ad)` must then accept the products A U and A D in
-    place of computing them, and return bit-for-bit what they return without
-    them.  `solve` uses this to carry A U across QR retractions.  A subclass
-    that redefines `value`, `euclidean_gradient`, `hessian_apply` or
-    `evaluate` without redefining `apply_operator` loses it, so it is always
-    evaluated through its own definitions.
+    `solve` carries A U across QR retractions exactly when the model
+    defines `apply_operator(x) -> A x`.  A model that defines it accepts the
+    products A U and A D as `evaluate(u, au)` and `hessian_apply(u, d, ad)`,
+    and returns the same bits with or without them.  The concrete
+    `TraceDensityModel` is final, since its fused `evaluate` and its
+    `apply_operator` would bypass a subclass's redefinitions; a variant
+    delegates to it instead and, without `apply_operator`, is evaluated
+    exactly.
     """
 
     # A x for the model's linear operator, or None if the model has none
     apply_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        own = vars(cls)
-        if "evaluate" not in own and ("value" in own or "euclidean_gradient" in own):
-            cls.evaluate = EnergyModel.evaluate
-        if "apply_operator" not in own and not own.keys().isdisjoint(_EXACT_METHODS):
-            cls.apply_operator = None
 
     @abc.abstractmethod
     def value(self, u: np.ndarray) -> float: ...
@@ -66,74 +53,49 @@ class EnergyModel(abc.ABC):
 
 
 @dataclass(frozen=True)
-class QuadraticTraceModel(EnergyModel):
-    """E(U) = tr(U^T A U)/2 for symmetric A; minimized by the p lowest
-    eigenvectors of A."""
+class TraceDensityModel(EnergyModel):
+    """E(U) = tr(U^T A U)/2 + h * sum_r [V_r rho_r + (gamma/2) rho_r^2]
+    for symmetric A, with the density rho_r = sum_i U_ri^2.
 
-    a: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.a, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
-        nrm = np.linalg.norm(mat)
-        if nrm > 0 and np.linalg.norm(mat - mat.T) > 1e-10 * nrm:
-            raise ValueError("matrix not symmetric within 1e-10 relative")
-        mat = 0.5 * (mat + mat.T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "a", mat)
-
-    def value(self, u):
-        return 0.5 * float(np.sum(u * (self.a @ u)))
-
-    def euclidean_gradient(self, u):
-        return self.a @ u
-
-    def apply_operator(self, x):
-        return self.a @ x
-
-    def evaluate(self, u, au=None):
-        if au is None:
-            au = self.a @ u
-        return 0.5 * float(np.sum(u * au)), au
-
-    def hessian_apply(self, u, d, ad=None):
-        return self.a @ d if ad is None else ad
-
-
-@dataclass(frozen=True)
-class NonlinearLatticeModel(EnergyModel):
-    """1-D lattice energy with a density-dependent quartic term.
-
-    E(U) = tr(U^T A U)/2 + h * sum_r V_r rho_r + (gamma h / 2) * sum_r rho_r^2
-    with rho_r = sum_i U_ri^2.  rho is invariant under U -> U P, so E is
-    orthogonally invariant.
+    rho is invariant under U -> U P, so E is orthogonally invariant.  Without
+    a potential V the density terms are absent: E is the trace term alone,
+    minimized by the p lowest eigenvectors of A.  The class is final.
     """
 
     a: np.ndarray
-    v: np.ndarray
-    h: float
-    gamma: float
+    v: Optional[np.ndarray] = None
+    h: float = 1.0
+    gamma: float = 0.0
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("TraceDensityModel is final; delegate to it instead of subclassing")
 
     def __post_init__(self):
         mat = np.asarray(self.a, dtype=float)
-        vec = np.asarray(self.v, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
-        if vec.shape != (mat.shape[0],):
-            raise ShapeMismatch("potential length must match grid size")
-        if self.h <= 0:
-            raise ValueError("mesh width must be positive")
-        if self.gamma < 0:
-            raise ValueError("interaction strength must be nonnegative")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"mesh width h must be finite and positive, got {self.h}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if self.v is not None:
+            vec = np.array(self.v, dtype=float)  # a copy: it is frozen below
+            if vec.shape != (mat.shape[0],):
+                raise ShapeMismatch("potential length must match grid size")
+            if not np.isfinite(vec).all():
+                raise ValueError("potential has non-finite entries")
+            vec.setflags(write=False)
+            object.__setattr__(self, "v", vec)
+        elif self.gamma != 0.0:
+            raise ValueError("gamma needs a potential v")
         nrm = np.linalg.norm(mat)
         if nrm > 0 and np.linalg.norm(mat - mat.T) > 1e-10 * nrm:
             raise ValueError("matrix not symmetric within 1e-10 relative")
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
-        vec.setflags(write=False)
         object.__setattr__(self, "a", mat)
-        object.__setattr__(self, "v", vec)
 
     @property
     def npts(self) -> int:
@@ -143,10 +105,10 @@ class NonlinearLatticeModel(EnergyModel):
         return np.sum(u * u, axis=1)
 
     def value(self, u):
-        return self._energy(u, self.a @ u, self.density(u))
+        return self._energy(u, self.a @ u, self._rho(u))
 
     def euclidean_gradient(self, u):
-        return self._gradient(u, self.a @ u, self.density(u))
+        return self._gradient(u, self.a @ u, self._rho(u))
 
     def apply_operator(self, x):
         return self.a @ x
@@ -154,16 +116,24 @@ class NonlinearLatticeModel(EnergyModel):
     def evaluate(self, u, au=None):
         if au is None:
             au = self.a @ u
-        rho = self.density(u)
+        rho = self._rho(u)
         return self._energy(u, au, rho), self._gradient(u, au, rho)
+
+    def _rho(self, u):
+        """The density, or None for a model without the density terms."""
+        return None if self.v is None else self.density(u)
 
     def _energy(self, u, au, rho):
         quad = 0.5 * float(np.sum(u * au))
+        if rho is None:
+            return quad
         ext = self.h * float(self.v @ rho)
         inter = 0.5 * self.gamma * self.h * float(rho @ rho)
         return quad + ext + inter
 
     def _gradient(self, u, au, rho):
+        if rho is None:
+            return au
         return (
             au
             + 2.0 * self.h * (self.v[:, None] * u)
@@ -171,20 +141,32 @@ class NonlinearLatticeModel(EnergyModel):
         )
 
     def hessian_apply(self, u, d, ad=None):
+        if ad is None:
+            ad = self.a @ d
+        if self.v is None:
+            return ad
         rho = self.density(u)
         sigma = np.sum(u * d, axis=1)
         return (
-            (self.a @ d if ad is None else ad)
+            ad
             + 2.0 * self.h * (self.v[:, None] * d)
             + 2.0 * self.gamma * self.h * (rho[:, None] * d + 2.0 * sigma[:, None] * u)
         )
 
 
+# The constructors of the trace-only and the lattice energies.
+QuadraticTraceModel = NonlinearLatticeModel = TraceDensityModel
+
+
 def harmonic_lattice(
     npts: int, length: float = 10.0, gamma: float = 1.0, well: float = 1.0
-) -> NonlinearLatticeModel:
+) -> TraceDensityModel:
     """Standard test instance: Dirichlet Laplacian on (0, L) plus a harmonic
     well centered at L/2 and interaction strength gamma."""
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"lattice length must be finite and positive, got {length}")
+    if not math.isfinite(well):
+        raise ValueError(f"well depth must be finite, got {well}")
     h = length / (npts + 1)
     x = h * np.arange(1, npts + 1)
     lap = (
@@ -193,7 +175,7 @@ def harmonic_lattice(
         - np.diag(np.ones(npts - 1), -1)
     ) / h**2
     v = 0.5 * well * (x - 0.5 * length) ** 2
-    return NonlinearLatticeModel(a=lap, v=v, h=h, gamma=gamma)
+    return TraceDensityModel(a=lap, v=v, h=h, gamma=gamma)
 
 
 def random_symmetric(n: int, seed: int) -> np.ndarray:
@@ -210,7 +192,9 @@ def load_matrix(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
-    n = int(tokens[0])
+    n = int(tokens[0]) if tokens[0].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}: matrix size must be a positive integer, got {tokens[0]!r}")
     entries = [float(t) for t in tokens[1:]]
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, got {len(entries)}")
@@ -244,9 +228,11 @@ def grassmann_hessian_qform(
     return curvature - correction
 
 
-def eigen_oracle(model: QuadraticTraceModel, p: int) -> tuple[float, StiefelPoint]:
-    """Ground truth for the quadratic model: half the sum of the p smallest
-    eigenvalues, and the corresponding eigenvector frame."""
+def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]:
+    """Ground truth for a model without a potential: half the sum of the p
+    smallest eigenvalues of A, and the corresponding eigenvector frame."""
+    if model.v is not None:
+        raise ValueError("eigen_oracle needs a model without a potential v")
     evals, evecs = sym_eig(model.a)
     energy = 0.5 * float(np.sum(evals[:p]))
     return energy, StiefelPoint(evecs[:, :p])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassopt import StiefelPoint, project_tangent, thin_qr
+from grassopt import EnergyModel, StiefelPoint, project_tangent, thin_qr
 
 
 def random_stiefel(n, p, seed):
@@ -13,6 +13,24 @@ def random_stiefel(n, p, seed):
 def random_tangent(point, seed):
     rng = np.random.default_rng(seed)
     return project_tangent(point, rng.standard_normal(point.shape))
+
+
+class Delegate(EnergyModel):
+    """Delegates every model call to `model`.  Test variants of a concrete
+    model, which is final, subclass this and redefine what they change; with
+    no apply_operator they are evaluated exactly."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def value(self, u):
+        return self.model.value(u)
+
+    def euclidean_gradient(self, u):
+        return self.model.euclidean_gradient(u)
+
+    def hessian_apply(self, u, d):
+        return self.model.hessian_apply(u, d)
 
 
 @pytest.fixture

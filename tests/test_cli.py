@@ -138,6 +138,34 @@ class TestRun:
         assert f"error: {flag} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--gamma", "nan", "gamma"),
+            ("--gamma", "inf", "gamma"),
+            ("--length", "nan", "length"),
+            ("--well", "nan", "well"),
+        ],
+    )
+    def test_non_finite_lattice_input_rejected(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", "lattice", "--npts", "16", "--p", "2", flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_non_finite_matrix_file_rejected(self, tmp_path, capsys):
+        mfile = tmp_path / "mat.txt"
+        mfile.write_text("2\n1 nan\nnan 1\n")
+        out = tmp_path / "t.csv"
+        assert run_cli("run", "--matrix-file", str(mfile), "--p", "1", "--out", str(out)) == 1
+        assert "error: matrix has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_overlay(self, tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassopt import (
     EnergyModel,
@@ -9,6 +11,7 @@ from grassopt import (
     ShapeMismatch,
     StiefelPoint,
     TangentVector,
+    TraceDensityModel,
     eigen_oracle,
     grassmann_gradient,
     grassmann_hessian_qform,
@@ -50,6 +53,48 @@ class TestConstruction:
     def test_lattice_rejects_wrong_potential_length(self):
         with pytest.raises(ShapeMismatch):
             NonlinearLatticeModel(a=np.eye(3), v=np.zeros(4), h=0.1, gamma=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("potential", [False, True], ids=["quadratic", "lattice"])
+    def test_rejects_non_finite_matrix(self, bad, potential):
+        a = np.eye(3)
+        a[0, 1] = bad
+        v = np.zeros(3) if potential else None
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            TraceDensityModel(a, v=v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_potential(self, bad):
+        with pytest.raises(ValueError, match="potential has non-finite entries"):
+            NonlinearLatticeModel(a=np.eye(3), v=np.array([0.0, bad, 0.0]), h=0.1, gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "h, gamma, named",
+        [(np.nan, 1.0, "mesh width"), (np.inf, 1.0, "mesh width"),
+         (0.1, np.nan, "gamma"), (0.1, np.inf, "gamma")],
+    )
+    def test_rejects_non_finite_scalars(self, h, gamma, named):
+        with pytest.raises(ValueError, match=named):
+            NonlinearLatticeModel(a=np.eye(3), v=np.zeros(3), h=h, gamma=gamma)
+
+    def test_potential_is_copied_before_freezing(self):
+        v = np.zeros(3)
+        model = NonlinearLatticeModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
+        v[0] = 1.0  # the caller's array stays writable
+        assert model.v[0] == 0.0 and not model.v.flags.writeable
+
+    def test_interaction_needs_potential(self):
+        with pytest.raises(ValueError, match="needs a potential"):
+            TraceDensityModel(np.eye(3), gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"length": np.nan}, "length"), ({"length": 0.0}, "length"),
+         ({"length": np.inf}, "length"), ({"well": np.nan}, "well")],
+    )
+    def test_harmonic_lattice_rejects_bad_scalars(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            harmonic_lattice(8, **kwargs)
 
     def test_harmonic_lattice_shapes(self):
         model = harmonic_lattice(16, length=8.0)
@@ -132,30 +177,6 @@ class TestEvaluate:
             assert energy == model.value(u)
             npt.assert_array_equal(egrad, model.euclidean_gradient(u))
 
-    def test_subclass_redefining_gradient_gets_composed_evaluate(self):
-        class Doubled(NonlinearLatticeModel):
-            def euclidean_gradient(self, u):
-                return 2.0 * super().euclidean_gradient(u)
-
-        base = small_lattice()
-        model = Doubled(a=base.a, v=base.v, h=base.h, gamma=base.gamma)
-        u = random_stiefel(base.npts, 2, 7).u
-        energy, egrad = model.evaluate(u)
-        assert energy == model.value(u)
-        npt.assert_array_equal(egrad, model.euclidean_gradient(u))
-
-    def test_fused_evaluate_is_inherited_until_redefined(self):
-        class Plain(QuadraticTraceModel):
-            pass
-
-        class Shifted(Plain):
-            def value(self, u):
-                return super().value(u) + 1.0
-
-        assert Plain.evaluate is QuadraticTraceModel.evaluate
-        u = E1.u
-        assert Shifted(DIAG123.a).evaluate(u)[0] == DIAG123.value(u) + 1.0
-
 
 class TestSuppliedProducts:
     """apply_operator(x) is A x, and evaluate / hessian_apply return the same
@@ -176,27 +197,41 @@ class TestSuppliedProducts:
                 model.hessian_apply(u, d, model.apply_operator(d)), model.hessian_apply(u, d)
             )
 
-    @pytest.mark.parametrize(
-        "method", ["value", "euclidean_gradient", "hessian_apply", "evaluate"]
+    @given(
+        n=st.integers(1, 24),
+        p=st.integers(1, 4),
+        potential=st.booleans(),
+        gamma=st.floats(0.0, 2.0),
+        h=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**16),
     )
-    def test_redefining_a_method_drops_apply_operator(self, method):
-        body = {method: getattr(QuadraticTraceModel, method)}
-        redefined = type("Redefined", (QuadraticTraceModel,), body)
-        assert redefined(DIAG123.a).apply_operator is None
+    @settings(max_examples=60, deadline=None)
+    def test_carry_contract(self, n, p, potential, gamma, h, seed):
+        """With and without a potential: evaluate is (value, gradient) bit for
+        bit, and supplied products A U and A D change no bit."""
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) if potential else None
+        model = TraceDensityModel(
+            random_symmetric(n, seed), v=v, h=h, gamma=gamma if potential else 0.0
+        )
+        u, d = rng.standard_normal((2, n, min(p, n)))
+        energy, egrad = model.evaluate(u)
+        assert energy == model.value(u)
+        npt.assert_array_equal(egrad, model.euclidean_gradient(u))
+        carried_energy, carried_egrad = model.evaluate(u, model.apply_operator(u))
+        assert carried_energy == energy
+        npt.assert_array_equal(carried_egrad, egrad)
+        npt.assert_array_equal(
+            model.hessian_apply(u, d, model.apply_operator(d)), model.hessian_apply(u, d)
+        )
 
-    def test_apply_operator_inherited_or_redefined_is_kept(self):
-        class Plain(NonlinearLatticeModel):
-            pass
+    def test_model_is_final(self):
+        assert QuadraticTraceModel is NonlinearLatticeModel is TraceDensityModel
+        with pytest.raises(TypeError, match="final"):
 
-        class OptedIn(QuadraticTraceModel):
-            def apply_operator(self, x):
-                return super().apply_operator(x)
-
-            def evaluate(self, u, au=None):
-                return super().evaluate(u, au)
-
-        assert Plain.apply_operator is NonlinearLatticeModel.apply_operator
-        assert OptedIn(DIAG123.a).apply_operator(E1.u)[0, 0] == 1.0
+            class Shifted(TraceDensityModel):
+                def value(self, u):
+                    return super().value(u) + 1.0
 
     def test_wrapper_has_no_apply_operator(self):
         class Wrapper(EnergyModel):
@@ -310,6 +345,10 @@ class TestEigenOracle:
         assert energy == pytest.approx(1.5)
         assert grassmann_gradient(DIAG123, minimizer).norm <= 1e-12
 
+    def test_rejects_model_with_potential(self):
+        with pytest.raises(ValueError, match="potential"):
+            eigen_oracle(harmonic_lattice(8), 2)
+
     def test_random_matrix_is_stationary_minimum(self):
         model = QuadraticTraceModel(random_symmetric(30, seed=4))
         energy, minimizer = eigen_oracle(model, 4)
@@ -333,6 +372,15 @@ class TestMatrixIO:
         path.write_text("3\n1 2 3 4\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    @pytest.mark.parametrize("header", ["2.5", "-2", "0", "two"])
+    def test_bad_size_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1 0 0 1\n")
+        expect = f"{path}: matrix size must be a positive integer, got '{header}'"
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == expect
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

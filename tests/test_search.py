@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from grassopt import (
     EnergyModel,
-    NonlinearLatticeModel,
     QuadraticTraceModel,
     SolveConfig,
     Status,
@@ -26,7 +25,7 @@ from grassopt.manifold import _trusted_point
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
 
-from conftest import random_stiefel, random_tangent
+from conftest import Delegate, random_stiefel, random_tangent
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 MIX13 = StiefelPoint(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2))
@@ -249,26 +248,27 @@ class TestEvaluationProtocol:
         assert result.total_energy_evals == len(log)
 
 
-class CarriedLog(NonlinearLatticeModel):
+class CarriedLog(Delegate):
     """Keeps apply_operator and logs every (U, supplied A U) it evaluates."""
 
+    def __init__(self, model):
+        super().__init__(model)
+        self.seen = []
+
     def apply_operator(self, x):
-        return super().apply_operator(x)
+        return self.model.apply_operator(x)
 
     def evaluate(self, u, au=None):
         self.seen.append((u, au))
-        return super().evaluate(u, au)
+        return self.model.evaluate(u, au)
 
-
-def carried_log(base):
-    model = CarriedLog(a=base.a, v=base.v, h=base.h, gamma=base.gamma)
-    object.__setattr__(model, "seen", [])
-    return model
+    def hessian_apply(self, u, d, ad=None):
+        return self.model.hessian_apply(u, d, ad)
 
 
 class TestCarriedProduct:
     """Adaptive QR solves of the concrete models carry A U across iterations;
-    wrappers and subclasses that redefine a model method evaluate exactly."""
+    wrappers without apply_operator evaluate exactly."""
 
     MODELS = [
         lambda: (QuadraticTraceModel(random_symmetric(60, seed=21)), random_stiefel(60, 3, 22)),
@@ -300,12 +300,12 @@ class TestCarriedProduct:
         assert result.final_residual == project_tangent(result.final_point, egrad).norm
 
     def test_drift_before_refresh_within_bound(self):
-        model = carried_log(harmonic_lattice(512, gamma=1.0))
+        model = CarriedLog(harmonic_lattice(512, gamma=1.0))
         config = SolveConfig(epsilon=1e-14, max_iter=8 * CARRY_REFRESH)
         solve(model, random_stiefel(512, 4, 0), config)
         drifts = []
         for n, (u, au) in enumerate(model.seen[:-1]):  # the last is the exact exit
-            exact = model.a @ u
+            exact = model.model.a @ u
             if n % CARRY_REFRESH == 0:
                 npt.assert_array_equal(au, exact)
             elif n % CARRY_REFRESH == CARRY_REFRESH - 1:
@@ -318,7 +318,7 @@ class TestCarriedProduct:
         [{"strategy": "backtracking"}, {"strategy": "none"}, {"retraction": "geodesic"}],
     )
     def test_other_paths_evaluate_exactly(self, kwargs):
-        model = carried_log(harmonic_lattice(48))
+        model = CarriedLog(harmonic_lattice(48))
         config = SolveConfig(epsilon=1e-14, max_iter=20, **kwargs)
         solve(model, random_stiefel(48, 3, 23), config)
         assert model.seen and all(au is None for _, au in model.seen)
@@ -380,17 +380,17 @@ class TestLatticeSolve:
 
 class TestFailureHandling:
     def test_nan_energy_fails_cleanly(self):
-        class Broken(QuadraticTraceModel):
+        class Broken(Delegate):
             def value(self, u):
                 return float("nan")
 
-        model = Broken(np.diag([1.0, 2.0, 3.0]))
+        model = Broken(DIAG123)
         result = solve(model, MIX13, SolveConfig())
         assert result.status is Status.FAILED
         assert "iteration 0" in result.diagnostic
 
     def test_hostile_backtracking_fails_cleanly(self):
-        class Hostile(QuadraticTraceModel):
+        class Hostile(Delegate):
             calls = 0
 
             def value(self, u):
@@ -398,13 +398,13 @@ class TestFailureHandling:
                 # first call seeds C; afterwards no trial ever decreases
                 return 0.0 if type(self).calls == 1 else 1e6
 
-        model = Hostile(np.diag([1.0, 2.0, 3.0]))
+        model = Hostile(DIAG123)
         result = solve(model, MIX13, SolveConfig(strategy="backtracking"))
         assert result.status is Status.FAILED
         assert "step" in result.diagnostic or "shrink" in result.diagnostic
 
     def test_failed_backtracking_counters(self):
-        class TurnsHostile(QuadraticTraceModel):
+        class TurnsHostile(Delegate):
             calls = 0
 
             def value(self, u):
@@ -412,7 +412,7 @@ class TestFailureHandling:
                 # honest for a few iterations, then no trial ever decreases
                 return super().value(u) if type(self).calls <= 30 else 1e6
 
-        model = TurnsHostile(random_symmetric(30, seed=13))
+        model = TurnsHostile(QuadraticTraceModel(random_symmetric(30, seed=13)))
         u0 = random_stiefel(30, 3, 14)
         result = solve(model, u0, SolveConfig(strategy="backtracking", first_step=1.0))
         assert result.status is Status.FAILED
@@ -428,11 +428,11 @@ class TestFailureHandling:
         )
 
     def test_nan_gradient_fails_cleanly(self):
-        class NanGradient(QuadraticTraceModel):
+        class NanGradient(Delegate):
             def euclidean_gradient(self, u):
                 return np.full(u.shape, np.nan)
 
-        result = solve(NanGradient(np.diag([1.0, 2.0, 3.0])), MIX13, SolveConfig())
+        result = solve(NanGradient(DIAG123), MIX13, SolveConfig())
         assert result.status is Status.FAILED
         assert "iteration 0: non-finite" in result.diagnostic
 

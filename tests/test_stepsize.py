@@ -28,6 +28,8 @@ from grassopt import (
 from grassopt.checks import run_suite
 from grassopt.stepsize import DegenerateDenominator
 
+from conftest import Delegate
+
 
 class TestNonMonotoneState:
     def test_armijo_special_case(self):
@@ -349,11 +351,11 @@ class TestBacktrackingStep:
         assert decision.t == pytest.approx(t0 / 4.0)
 
     def test_cap_raises(self):
-        class Hostile(QuadraticTraceModel):
+        class Hostile(Delegate):
             def value(self, u):
                 return 1e9  # no step ever acceptable
 
-        hostile = Hostile(np.diag([1.0, 100.0]))
+        hostile = Hostile(self.model)
         with pytest.raises(MaxBacktracks):
             backtracking_step(
                 hostile, self.point, self.tangent, 1.0, StepParams(), self.c, retract_qr, g=self.g
