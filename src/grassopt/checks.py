@@ -20,7 +20,6 @@ from .manifold import (
     project_tangent,
     retract_geodesic,
     retract_qr,
-    retract_qr_factors,
 )
 from .objectives import (
     QuadraticTraceModel,
@@ -52,11 +51,6 @@ def _random_orthogonal(rng, p) -> np.ndarray:
     return q
 
 
-def _retract_carried(point, tangent, t):
-    """The frame of retract_qr_factors, the retraction of the carried path."""
-    return retract_qr_factors(point, tangent, t)[0]
-
-
 # ---------------------------------------------------------------------------
 # geometry suite
 # ---------------------------------------------------------------------------
@@ -65,10 +59,10 @@ def _retract_carried(point, tangent, t):
 def check_retraction_axioms() -> CheckResult:
     """retract(U, D, 0) = U exactly, and (retract(U, D, h) - U)/h -> D with
     O(h) error (first-order decay observed across h = 1e-3, 1e-4, 1e-5), for
-    the QR, geodesic and carried (Cholesky QR) retractions."""
+    the QR and geodesic retractions."""
     rng = np.random.default_rng(100)
     worst = 0.0
-    for retract in (retract_qr, retract_geodesic, _retract_carried):
+    for retract in (retract_qr, retract_geodesic):
         for _ in range(20):
             point = _random_point(rng, 25, 4)
             tangent = _random_tangent(rng, point)
@@ -89,8 +83,8 @@ def check_retraction_axioms() -> CheckResult:
 
 def check_feasibility() -> CheckResult:
     """1000 random retractions with t in [0, 10] keep ||U^T U - I|| <= 1e-10,
-    and so do 500 carried retractions with t ||D|| in [0, 2], half of them
-    past the Householder fallback at t ||D|| = 1."""
+    and so do 500 QR retractions with t ||D|| in [0, 2]: Cholesky QR below
+    t ||D|| = 1, the Householder fallback above."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(1500):
@@ -101,7 +95,7 @@ def check_feasibility() -> CheckResult:
             retract = retract_qr if i % 2 == 0 else retract_geodesic
         else:
             t = 2.0 * rng.random() / tangent.norm
-            retract = _retract_carried
+            retract = retract_qr
         new = retract(point, tangent, t)
         worst = max(
             worst, np.linalg.norm(new.u.T @ new.u - np.eye(new.shape[1]))

@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import ConvergenceFailure, RankDeficient, ShapeMismatch, svd_thin, thin_qr
 
 ORTHO_TOL = 1e-10
-# Largest t ||D||_F for which retract_qr_factors uses Cholesky QR.  For a
+# Largest t ||D||_F for which the QR retraction uses Cholesky QR.  For a
 # tangent D, (U + t D)^T (U + t D) = I + t^2 D^T D, whose condition number is
 # then at most 2, so the Cholesky factor is as accurate as Householder's R.
 CHOLESKY_QR_MAX_STEP = 1.0
@@ -122,11 +122,9 @@ def project_tangent(point: StiefelPoint, g) -> TangentVector:
 
 
 def retract_qr(point: StiefelPoint, tangent: TangentVector, t: float) -> StiefelPoint:
-    """QR retraction: Q factor of U + t D (positive-diagonal convention)."""
-    if t == 0.0:
-        return point
-    q, _ = thin_qr(point.u + t * tangent.d)
-    return _trusted_point(q)
+    """QR retraction: the frame of retract_qr_factors, the Q factor of U + t D
+    with a positive-diagonal R."""
+    return retract_qr_factors(point, tangent, t)[0]
 
 
 def retract_qr_factors(

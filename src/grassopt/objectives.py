@@ -52,7 +52,7 @@ class EnergyModel(abc.ABC):
         return self.value(u), self.euclidean_gradient(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceDensityModel(EnergyModel):
     """E(U) = tr(U^T A U)/2 + h * sum_r [V_r rho_r + (gamma/2) rho_r^2]
     for symmetric A, with the density rho_r = sum_i U_ri^2.
@@ -195,7 +195,10 @@ def load_matrix(path) -> np.ndarray:
     n = int(tokens[0]) if tokens[0].isdecimal() else 0
     if n < 1:
         raise ValueError(f"{path}: matrix size must be a positive integer, got {tokens[0]!r}")
-    entries = [float(t) for t in tokens[1:]]
+    try:
+        entries = [float(t) for t in tokens[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, got {len(entries)}")
     return np.array(entries).reshape(n, n)

@@ -82,8 +82,12 @@ class SolveConfig:
     cg_restart_period: int = 50
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not 0.0 < self.first_step < math.inf:
+            raise ValueError(f"first_step must be finite and positive, got {self.first_step}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
         if self.strategy not in STRATEGIES:

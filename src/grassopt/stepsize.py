@@ -76,12 +76,12 @@ class StepParams:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.t_min <= 0.0:
-            raise ValueError("t_min must be positive")
+        if not 0.0 < self.t_min < math.inf:
+            raise ValueError("t_min must be finite and positive")
         if not 0.0 < self.k < 1.0:
             raise ValueError("k must lie in (0, 1)")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,12 @@ class TestRun:
         assert "error: matrix has non-finite entries" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_eps_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli("run", "--n", "10", "--p", "1", "--eps", "nan", "--out", str(out)) == 1
+        assert "error: epsilon must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_overlay(self, tmp_path):

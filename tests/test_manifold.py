@@ -14,6 +14,7 @@ from grassopt import (
     retract_geodesic,
     retract_qr,
 )
+from grassopt.linalg import thin_qr
 from grassopt.manifold import CHOLESKY_QR_MAX_STEP, retract_qr_factors
 from grassopt.checks import run_suite
 
@@ -125,7 +126,8 @@ class TestRetractions:
 
 class TestCarriedRetraction:
     """retract_qr_factors: Cholesky QR up to t ||D|| = CHOLESKY_QR_MAX_STEP,
-    Householder beyond; both return the frame of retract_qr and R^-1."""
+    Householder beyond; both return the Householder frame and R^-1, and
+    retract_qr returns the same frame."""
 
     @pytest.mark.parametrize("step", [0.2, CHOLESKY_QR_MAX_STEP, 1.5, 5.0])
     @pytest.mark.parametrize("shape", [(20, 4), (200, 10)])
@@ -134,7 +136,9 @@ class TestCarriedRetraction:
         tangent = random_tangent(point, 10)
         t = step / tangent.norm
         new, r_inv = retract_qr_factors(point, tangent, t)
-        npt.assert_allclose(new.u, retract_qr(point, tangent, t).u, rtol=0, atol=1e-13)
+        householder, _ = thin_qr(point.u + t * tangent.d)
+        npt.assert_allclose(new.u, householder, rtol=0, atol=1e-13)
+        npt.assert_array_equal(retract_qr(point, tangent, t).u, new.u)
         # U + t D = U_new R, the identity the carried product A U relies on
         npt.assert_allclose((point.u + t * tangent.d) @ r_inv, new.u, rtol=0, atol=1e-13)
         assert np.all(np.diag(r_inv) > 0.0)

@@ -103,6 +103,12 @@ class TestConstruction:
         # well is centered: potential symmetric about the midpoint
         npt.assert_allclose(model.v, model.v[::-1], atol=1e-12)
 
+    def test_identity_equality_and_hash(self):
+        model = harmonic_lattice(4)
+        copy = harmonic_lattice(4)  # equal-valued, a different model
+        assert model == model and model != copy
+        assert {model: 1}[model] == 1 and hash(model) != hash(copy)
+
 
 class TestValuesAndGradients:
     def test_quadratic_value(self):
@@ -378,6 +384,15 @@ class TestMatrixIO:
         path = tmp_path / "bad.txt"
         path.write_text(f"{header}\n1 0 0 1\n")
         expect = f"{path}: matrix size must be a positive integer, got '{header}'"
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == expect
+
+    @pytest.mark.parametrize("entry", ["x", "1,5"])
+    def test_bad_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n1 0\n{entry} 1\n")
+        expect = f"{path}: could not convert string to float: '{entry}'"
         with pytest.raises(ValueError) as err:
             load_matrix(path)
         assert str(err.value) == expect

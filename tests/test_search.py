@@ -36,6 +36,14 @@ class TestConfig:
         "kwargs",
         [
             {"epsilon": 0.0},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
+            {"first_step": 0.0},
+            {"first_step": float("nan")},
+            {"first_step": float("inf")},
+            {"alpha": -0.1},
+            {"alpha": 1.0},
+            {"alpha": float("nan")},
             {"max_iter": 0},
             {"strategy": "newton"},
             {"direction": "bfgs"},

@@ -93,9 +93,13 @@ class TestStepParams:
             {"eta": 0.0},
             {"eta": 1.0},
             {"t_min": 0.0},
+            {"t_min": float("nan")},
+            {"t_min": float("inf")},
             {"k": 1.0},
             {"k": 0.0},
             {"theta": 0.0},
+            {"theta": float("nan")},
+            {"theta": float("inf")},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
