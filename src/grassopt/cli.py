@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--retraction", choices=["qr", "geodesic"], default="qr")
         p.add_argument("--direction", choices=["steepest", "cg_restart"], default="steepest")
         p.add_argument("--cg-restart-period", type=int, default=50)
-        p.add_argument("--out", help="output path (trace CSV / comparison table)")
+        p.add_argument("--out", help="output path (trace / comparison table)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     run_p = sub.add_parser("run", help="solve one instance and write its trace")
@@ -189,27 +189,14 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
     )
 
 
-def write_trace(result: SolveResult, path: Path, fmt: str) -> None:
-    rows = [
-        {
-            "iter": rec.iter,
-            "energy": _fmt(rec.energy),
-            "residual": _fmt(rec.residual),
-            "step": _fmt(rec.step),
-            "backtracks": rec.backtracks,
-            "estimator": "" if rec.estimator is None else _fmt(rec.estimator),
-            "direction_reset": int(rec.direction_reset),
-            "initial_accepted": int(rec.initial_accepted),
-            "clamp_reason": rec.clamp_reason,
-            "elapsed_s": _fmt(rec.elapsed),
-        }
-        for rec in result.trace
-    ]
+def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Write `rows` (dicts keyed by `columns`) as a CSV table with a header
+    or as a JSON list of objects."""
     if fmt == "json":
         path.write_text(json.dumps(rows, indent=1))
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -255,8 +242,23 @@ def cmd_run(args) -> int:
     result = solve(model, u0, config)
     wallclock = time.perf_counter() - tic
 
-    out = Path(args.out) if args.out else Path(f"trace_{args.problem}_{args.strategy}.csv")
-    write_trace(result, out, args.format)
+    out = Path(args.out or f"trace_{args.problem}_{args.strategy}.{args.format}")
+    rows = [
+        {
+            "iter": rec.iter,
+            "energy": _fmt(rec.energy),
+            "residual": _fmt(rec.residual),
+            "step": _fmt(rec.step),
+            "backtracks": rec.backtracks,
+            "estimator": "" if rec.estimator is None else _fmt(rec.estimator),
+            "direction_reset": int(rec.direction_reset),
+            "initial_accepted": int(rec.initial_accepted),
+            "clamp_reason": rec.clamp_reason,
+            "elapsed_s": _fmt(rec.elapsed),
+        }
+        for rec in result.trace
+    ]
+    _write_table(out, args.format, TRACE_COLUMNS, rows)
     summary = summary_dict(result, wallclock)
     summary_path = out.with_suffix(out.suffix + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=1))
@@ -325,15 +327,11 @@ def cmd_compare(args) -> int:
             f"evals={row['energy_evals']}/{row['retraction_evals']} {row['flagged']}"
         )
 
-    out = Path(args.out) if args.out else Path(f"compare_{args.problem}.csv")
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            formatted = dict(row)
-            for key in ("energy", "final_residual", "wct_s", "atpi_s"):
-                formatted[key] = _fmt(row[key])
-            writer.writerow(formatted)
+    for row in rows:
+        for key in ("energy", "final_residual", "wct_s", "atpi_s"):
+            row[key] = _fmt(row[key])
+    out = Path(args.out or f"compare_{args.problem}.{args.format}")
+    _write_table(out, args.format, COMPARE_COLUMNS, rows)
     return 1 if 1 in codes else max(codes)
 
 

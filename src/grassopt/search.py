@@ -8,19 +8,26 @@ spent inside backtracking trials.
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
 next: U_new R = U + t D gives A U_new = (A U + t A D) R^-1, so an iteration
-applies A once, to D.  The carried product is replaced by an exact one every
-CARRY_REFRESH iterations, and every exit reports an exact evaluation.
+applies A once, to D.
 
-The frames and tangents the loop builds are not validated one by one; the
-orthonormality of the iterate is checked at entry, at every exact refresh
-of the carried product and at exit.  A defect above ORTHO_TOL ends the solve
-as FAILED.
+One rule decides every exit: each exit follows an exact evaluation.  An
+iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,
+and whenever its carried evaluation would end the loop, by a stop condition
+or a failed step.  In that last case the loop goes round once more on the
+same iterate; the evaluation is not counted again and a failed step is not
+retried.
+
+The frames and tangents the loop builds are not validated one by one.  The
+orthonormality of the iterate is checked at entry, after every exact
+evaluation of a carried solve, and at any exit that is not already a
+failure.  A defect above ORTHO_TOL ends the solve as FAILED, with that
+frame's own energy and residual.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -88,8 +95,10 @@ class SolveConfig:
             raise ValueError(f"first_step must be finite and positive, got {self.first_step}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        for name in ("max_iter", "cg_restart_period"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.direction not in DIRECTIONS:
@@ -98,8 +107,6 @@ class SolveConfig:
             raise ValueError(f"unknown retraction {self.retraction!r}")
         if self.bb_mode not in ss.BB_MODES:
             raise ValueError(f"unknown bb mode {self.bb_mode!r}")
-        if self.cg_restart_period <= 0:
-            raise ValueError("cg_restart_period must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,56 +206,49 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     )
     au: Optional[np.ndarray] = None  # A U of `point` when carry is on
     carried = False  # whether `au` came from the recurrence
+    again = False  # whether this turn evaluates the same iterate again, exactly
+    failure = ""  # diagnostic of a failed step
     params = config.step_params
     point = u0
     nm: Optional[ss.NonMonotoneState] = None
     prev_u: Optional[np.ndarray] = None
-    prev_g: Optional[np.ndarray] = None
     g_prev: Optional[TangentVector] = None
     d_prev: Optional[TangentVector] = None
     trace: list[IterationRecord] = []
 
     n = 0
-    status = Status.MAX_ITERATIONS
-    diagnostic = ""
-    energy = math.nan
-    residual = math.nan
+    energy = residual = math.nan
+    tic = time.perf_counter()
     while True:
-        tic = time.perf_counter()
-        if carry and not carried and n > 0:
+        error = ""
+        try:
+            energy_evals += not again
+            if carry and not carried:
+                au = model.apply_operator(point.u)
+            energy, egrad, grad, residual = _evaluate(model, point, au)
+        except (LinalgError, FloatingPointError) as exc:
+            error = f"iteration {n}: {exc}"
+        status, diagnostic = None, ""
+        if failure or error:
+            status, diagnostic = Status.FAILED, failure or error
+        elif not (math.isfinite(energy) and math.isfinite(residual)):
+            status, diagnostic = Status.FAILED, f"iteration {n}: non-finite energy or residual"
+        elif residual <= config.epsilon:
+            status = Status.CONVERGED
+        elif n >= config.max_iter:
+            status = Status.MAX_ITERATIONS
+        if carried and status is not None:
+            carried, again = False, True  # decide it on an exact evaluation
+            continue
+        # the frame is checked after each exact evaluation of a carried solve, and at exit
+        if status is not Status.FAILED and (status is not None or carry and not carried):
             defect = ortho_defect(point.u)
             if not defect <= ORTHO_TOL:
                 status = Status.FAILED
                 diagnostic = f"iteration {n}: orthonormality defect {defect:.3e}"
-                break
-        try:
-            energy_evals += 1
-            if carry and not carried:
-                au = model.apply_operator(point.u)
-            energy, egrad, grad, residual = _evaluate(model, point, au)
-            if carried and not (
-                math.isfinite(energy) and config.epsilon < residual < math.inf
-                and n < config.max_iter
-            ):
-                # the loop may stop here: decide it on an exact evaluation
-                carried = False
-                au = model.apply_operator(point.u)
-                energy, egrad, grad, residual = _evaluate(model, point, au)
-        except (LinalgError, FloatingPointError) as exc:
-            status = Status.FAILED
-            diagnostic = f"iteration {n}: {exc}"
-            break
-        if not (math.isfinite(energy) and math.isfinite(residual)):
-            status = Status.FAILED
-            diagnostic = f"iteration {n}: non-finite energy or residual"
+        if status is not None:
             break
         nm = ss.initial_nm_state(config.alpha, energy) if nm is None else ss.nm_update(nm, energy)
-        if residual <= config.epsilon:
-            status = Status.CONVERGED
-            break
-        if n >= config.max_iter:
-            status = Status.MAX_ITERATIONS
-            break
 
         if config.direction == "steepest":
             direction, was_reset = steepest_direction(grad), False
@@ -257,13 +257,10 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 grad, g_prev, d_prev, point, n, config.cg_restart_period
             )
         slope = float(np.sum(grad.d * direction.d))
-        if slope >= 0.0:
-            direction, was_reset = steepest_direction(grad), True
-            slope = -residual**2
         assert slope < 0.0
 
         s = None if prev_u is None else point.u - prev_u
-        y = None if prev_g is None else grad.d - prev_g
+        y = None if g_prev is None else grad.d - g_prev.d
         t_initial = ss.bb_initial(n, s, y, mode=config.bb_mode, first_step=config.first_step)
 
         try:
@@ -276,8 +273,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 if carry:
                     retraction_evals += 1
                     next_point, r_inv = retract_qr_factors(point, direction, decision.t)
-                    carried = (n + 1) % CARRY_REFRESH != 0
-                    au = (au + decision.t * ad) @ r_inv if carried else None
+                    au = (au + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
+                    carried = au is not None
                 else:
                     next_point = retraction(point, direction, decision.t)
             elif config.strategy == "backtracking":
@@ -305,8 +302,11 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
             if isinstance(exc, ss.MaxBacktracks):
                 energy_evals += ss.MAX_BACKTRACKS + 1  # every trial was evaluated
-            status = Status.FAILED
-            diagnostic = f"iteration {n}: {exc}"
+            failure = f"iteration {n}: {exc}"
+            if carried:
+                carried, again = False, True  # report the iterate exactly
+                continue
+            status, diagnostic = Status.FAILED, failure
             break
 
         trace.append(
@@ -323,19 +323,9 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 elapsed=time.perf_counter() - tic,
             )
         )
-        prev_u, prev_g = point.u, grad.d
-        g_prev, d_prev = grad, direction
-        point = next_point
-        n += 1
-
-    if carried:
-        # the step failed after a carried evaluation: report the iterate exactly
-        with contextlib.suppress(LinalgError, FloatingPointError):
-            energy, _, _, residual = _evaluate(model, point, model.apply_operator(point.u))
-    defect = ortho_defect(point.u)
-    if not defect <= ORTHO_TOL and status is not Status.FAILED:
-        status = Status.FAILED
-        diagnostic = f"iteration {n}: orthonormality defect {defect:.3e} at exit"
+        g_prev, d_prev, prev_u = grad, direction, point.u
+        point, n, again = next_point, n + 1, False
+        tic = time.perf_counter()
 
     return SolveResult(
         status=status,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grassopt import QuadraticTraceModel, eigen_oracle, random_symmetric
-from grassopt.cli import TRACE_COLUMNS, main, read_trace
+from grassopt.cli import COMPARE_COLUMNS, TRACE_COLUMNS, main, read_trace
 
 
 def run_cli(*argv):
@@ -91,6 +91,14 @@ class TestRun:
         ) == 0
         rows = json.loads(out.read_text())
         assert rows and set(rows[0]) == set(TRACE_COLUMNS)
+
+    def test_default_name_takes_format_suffix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--n", "20", "--p", "2", "--eps", "1e-8", "--format", "json") == 0
+        rows = json.loads((tmp_path / "trace_quadratic_adaptive.json").read_text())
+        assert rows and set(rows[0]) == set(TRACE_COLUMNS)
+        assert (tmp_path / "trace_quadratic_adaptive.json.summary.json").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_determinism_apart_from_elapsed(self, tmp_path):
         args = (
@@ -271,6 +279,22 @@ class TestCompare:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+    def test_json_format(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "compare", "--n", "20", "--p", "2", "--seed", "6", "--eps", "1e-8",
+            "--strategy", "adaptive", "--strategy", "backtracking",
+            "--bb-mode", "bb1", "--bb-mode", "bb2", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads((tmp_path / "compare_quadratic.json").read_text())
+        assert [(r["strategy"], r["bb_mode"]) for r in rows] == [
+            ("adaptive", "bb1"), ("adaptive", "bb2"),
+            ("backtracking", "bb1"), ("backtracking", "bb2"),
+        ]
+        assert all(tuple(r) == COMPARE_COLUMNS for r in rows)
+        assert all(r["status"] == "converged" for r in rows)
 
     def test_exit_code_of_worst_solve(self, tmp_path, capsys):
         code = run_cli(

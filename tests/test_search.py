@@ -21,6 +21,7 @@ from grassopt import (
     steepest_direction,
 )
 from grassopt import search
+from grassopt.linalg import LinalgError
 from grassopt.manifold import _trusted_point
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
@@ -45,16 +46,28 @@ class TestConfig:
             {"alpha": 1.0},
             {"alpha": float("nan")},
             {"max_iter": 0},
+            {"max_iter": float("nan")},
+            {"max_iter": 2.5},
+            {"max_iter": 100.0},
+            {"max_iter": True},
+            {"max_iter": np.bool_(True)},
             {"strategy": "newton"},
             {"direction": "bfgs"},
             {"retraction": "cayley"},
             {"bb_mode": "bb3"},
             {"cg_restart_period": 0},
+            {"cg_restart_period": float("nan")},
+            {"cg_restart_period": 2.5},
+            {"cg_restart_period": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SolveConfig(max_iter=np.int64(3), cg_restart_period=np.int32(2))
+        assert solve(DIAG123, MIX13, config).iters == 3
 
 
 class TestDirections:
@@ -274,6 +287,14 @@ class CarriedLog(Delegate):
         return self.model.hessian_apply(u, d, ad)
 
 
+def assert_exact_report(model, result):
+    """The reported energy and residual are those of a fresh evaluation of
+    the reported frame."""
+    energy, egrad = model.evaluate(result.final_point.u)
+    assert result.final_energy == energy
+    assert result.final_residual == project_tangent(result.final_point, egrad).norm
+
+
 class TestCarriedProduct:
     """Adaptive QR solves of the concrete models carry A U across iterations;
     wrappers without apply_operator evaluate exactly."""
@@ -303,9 +324,7 @@ class TestCarriedProduct:
         result = solve(model, u0, SolveConfig(epsilon=1e-8, max_iter=max_iter))
         expected = Status.CONVERGED if max_iter == 10000 else Status.MAX_ITERATIONS
         assert result.status is expected
-        energy, egrad = model.evaluate(result.final_point.u)
-        assert result.final_energy == energy
-        assert result.final_residual == project_tangent(result.final_point, egrad).norm
+        assert_exact_report(model, result)
 
     def test_drift_before_refresh_within_bound(self):
         model = CarriedLog(harmonic_lattice(512, gamma=1.0))
@@ -339,8 +358,8 @@ def nudged(point):
 
 
 class TestOrthonormalityChecks:
-    """The iterate's orthonormality is checked at exact refreshes of the
-    carried product and at exit; a defect ends the solve as FAILED."""
+    """The iterate's orthonormality is checked after exact evaluations of a
+    carried solve and at exit; a defect ends the solve as FAILED."""
 
     model = QuadraticTraceModel(random_symmetric(30, seed=13))
     u0 = random_stiefel(30, 3, 14)
@@ -357,6 +376,9 @@ class TestOrthonormalityChecks:
         assert result.status is Status.FAILED
         assert result.iters == CARRY_REFRESH
         assert result.diagnostic.startswith(f"iteration {CARRY_REFRESH}: orthonormality defect")
+        # the defect is found after an exact evaluation of the frame it reports
+        assert_exact_report(self.model, result)
+        assert result.total_energy_evals == result.iters + 1
 
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking", "none"])
     def test_defect_fails_exact_solve_at_exit(self, monkeypatch, strategy):
@@ -367,6 +389,65 @@ class TestOrthonormalityChecks:
         assert result.status is Status.FAILED
         assert result.iters == 5
         assert "orthonormality defect" in result.diagnostic
+
+
+class ExactMarked(CarriedLog):
+    """A carried-product wrapper that knows which evaluations get an exact
+    A U: the one apply_operator has just returned for that frame."""
+
+    exact = None
+
+    def apply_operator(self, x):
+        self.exact = super().apply_operator(x)
+        return self.exact
+
+    def is_carried(self, au):
+        return au is not self.exact
+
+
+class TestExitRule:
+    """Every exit of a carried solve is decided right after an exact
+    evaluation of the iterate it reports."""
+
+    model = QuadraticTraceModel(random_symmetric(30, seed=13))
+    u0 = random_stiefel(30, 3, 14)
+
+    def test_carried_stop_is_checked_exactly(self):
+        class ZeroWhenCarried(ExactMarked):
+            def evaluate(self, u, au=None):
+                energy, egrad = super().evaluate(u, au)
+                return energy, 0.0 * egrad if self.is_carried(au) else egrad
+
+        model = ZeroWhenCarried(self.model)
+        eps = 1e-8
+        result = solve(model, self.u0, SolveConfig(epsilon=eps, max_iter=5000))
+        assert result.status is Status.CONVERGED
+        assert any(model.is_carried(au) for _, au in model.seen)
+        assert result.final_residual <= eps
+        assert_exact_report(self.model, result)
+        assert result.total_energy_evals == result.iters + 1
+        assert result.total_retraction_evals == result.iters
+
+    def test_failed_step_reports_exact_evaluation(self):
+        class FailsEighthHessian(ExactMarked):
+            calls = 0
+
+            def hessian_apply(self, u, d, ad=None):
+                self.calls += 1
+                if self.calls == 8:
+                    raise LinalgError("injected")
+                return super().hessian_apply(u, d, ad)
+
+        model = FailsEighthHessian(self.model)
+        result = solve(model, self.u0, SolveConfig(epsilon=1e-14, max_iter=500))
+        assert result.status is Status.FAILED
+        assert result.iters == 7
+        assert result.diagnostic == "iteration 7: injected"
+        assert model.calls == 8  # the failed step is not retried
+        assert not model.is_carried(model.seen[-1][1])
+        assert_exact_report(self.model, result)
+        assert result.total_energy_evals == result.iters + 1
+        assert result.total_retraction_evals == result.iters
 
 
 class TestLatticeSolve:
