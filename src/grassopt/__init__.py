@@ -46,7 +46,6 @@ from .stepsize import (
     NonMonotoneState,
     StepDecision,
     StepParams,
-    acceptable_upper_bound,
     adaptive_step,
     backtracking_step,
     bb_initial,

@@ -30,7 +30,15 @@ from .objectives import (
     load_matrix,
     random_symmetric,
 )
-from .search import STRATEGIES, SolveConfig, SolveResult, Status, solve
+from .search import (
+    DIRECTIONS,
+    RETRACTIONS,
+    STRATEGIES,
+    SolveConfig,
+    SolveResult,
+    Status,
+    solve,
+)
 from .stepsize import BB_MODES, StepParams
 
 TRACE_COLUMNS = (
@@ -61,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Line-search minimization on the Stiefel/Grassmann manifold",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, step = SolveConfig(), StepParams()  # the library's defaults
 
     def add_problem_flags(p):
         p.add_argument("--config", help="flat key=value file with flag defaults")
@@ -73,24 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=1.0, help="interaction strength")
         p.add_argument("--well", type=float, default=1.0, help="harmonic well depth")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eta", type=float, default=1e-4)
-        p.add_argument("--alpha", type=float, default=0.85)
-        p.add_argument("--k", type=float, default=0.5)
-        p.add_argument("--theta", type=float, default=0.2)
-        p.add_argument("--t-min", type=float, default=1e-20)
-        p.add_argument("--first-step", type=float, default=1e-2)
-        p.add_argument("--eps", type=float, default=1e-12)
-        p.add_argument("--max-iter", type=int, default=30000)
-        p.add_argument("--retraction", choices=["qr", "geodesic"], default="qr")
-        p.add_argument("--direction", choices=["steepest", "cg_restart"], default="steepest")
-        p.add_argument("--cg-restart-period", type=int, default=50)
+        p.add_argument("--eta", type=float, default=step.eta)
+        p.add_argument("--alpha", type=float, default=config.alpha)
+        p.add_argument("--k", type=float, default=step.k)
+        p.add_argument("--theta", type=float, default=step.theta)
+        p.add_argument("--t-min", type=float, default=step.t_min)
+        p.add_argument("--first-step", type=float, default=config.first_step)
+        p.add_argument("--eps", type=float, default=config.epsilon)
+        p.add_argument("--max-iter", type=int, default=config.max_iter)
+        p.add_argument("--retraction", choices=RETRACTIONS, default=config.retraction)
+        p.add_argument("--direction", choices=DIRECTIONS, default=config.direction)
+        p.add_argument("--cg-restart-period", type=int, default=config.cg_restart_period)
         p.add_argument("--out", help="output path (trace / comparison table)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     run_p = sub.add_parser("run", help="solve one instance and write its trace")
     add_problem_flags(run_p)
-    run_p.add_argument("--strategy", choices=STRATEGIES, default="adaptive")
-    run_p.add_argument("--bb-mode", choices=BB_MODES, default="odd_even")
+    run_p.add_argument("--strategy", choices=STRATEGIES, default=config.strategy)
+    run_p.add_argument("--bb-mode", choices=BB_MODES, default=config.bb_mode)
 
     cmp_p = sub.add_parser("compare", help="run several strategies on one instance")
     add_problem_flags(cmp_p)

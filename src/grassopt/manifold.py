@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import ConvergenceFailure, RankDeficient, ShapeMismatch, svd_thin, thin_qr
 
 ORTHO_TOL = 1e-10
-# Largest t ||D||_F for which the QR retraction uses Cholesky QR.  For a
+# Largest |t| ||D||_F for which the QR retraction uses Cholesky QR.  For a
 # tangent D, (U + t D)^T (U + t D) = I + t^2 D^T D, whose condition number is
 # then at most 2, so the Cholesky factor is as accurate as Householder's R.
 CHOLESKY_QR_MAX_STEP = 1.0
@@ -133,7 +133,7 @@ def retract_qr_factors(
     """QR retraction together with the inverse of its p-by-p factor:
     U + t D = U_new R, returned as (U_new, R^-1).
 
-    Up to t ||D||_F = CHOLESKY_QR_MAX_STEP this is a Cholesky QR: R is the
+    Up to |t| ||D||_F = CHOLESKY_QR_MAX_STEP this is a Cholesky QR: R is the
     transposed Cholesky factor of G = (U + t D)^T (U + t D) and
     U_new = (U + t D) R^-1, the same sign-fixed factors as Householder's up
     to roundoff.  Beyond it, Householder QR (thin_qr).  Raises
@@ -143,7 +143,7 @@ def retract_qr_factors(
     if t == 0.0:
         return point, np.eye(point.shape[1])
     x = point.u + t * tangent.d
-    if t * tangent.norm > CHOLESKY_QR_MAX_STEP:
+    if abs(t) * tangent.norm > CHOLESKY_QR_MAX_STEP:
         q, r = thin_qr(x)
         return _trusted_point(q), np.linalg.inv(r)
     gram = x.T @ x

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -233,9 +234,13 @@ def grassmann_hessian_qform(
 
 def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]:
     """Ground truth for a model without a potential: half the sum of the p
-    smallest eigenvalues of A, and the corresponding eigenvector frame."""
+    smallest eigenvalues of A, and the corresponding eigenvector frame, for
+    an integer 1 <= p <= n."""
     if model.v is not None:
         raise ValueError("eigen_oracle needs a model without a potential v")
+    n = model.a.shape[0]
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 1 <= p <= n:
+        raise ValueError(f"p must be an integer in [1, {n}], got {p!r}")
     evals, evecs = sym_eig(model.a)
     energy = 0.5 * float(np.sum(evals[:p]))
     return energy, StiefelPoint(evecs[:, :p])

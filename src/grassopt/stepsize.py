@@ -144,28 +144,6 @@ def estimator_zeta(e: float, c: float, g: float, hq: float, t: float) -> float:
     return (e - c + t * g + 0.5 * t * t * hq) / (t * g)
 
 
-def acceptable_upper_bound(
-    e: float, c: float, g: float, hq: float, eta: float, theta: float, norm_d: float
-) -> float:
-    """Largest t with zeta(t) >= eta and t * ||D|| <= theta.
-
-    Requires E <= C (guaranteed by the non-monotone recursion); the
-    discriminant is then nonnegative.
-    """
-    if g >= 0.0:
-        raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
-    if e > c:
-        raise ValueError("requires E <= C")
-    if norm_d <= 0.0:
-        raise ValueError("||D|| must be positive")
-    trust = theta / norm_d
-    if hq <= 0.0:
-        return trust
-    delta = (eta - 1.0) ** 2 - 2.0 * hq * (e - c) / (g * g)
-    curvature = ((eta - 1.0) - math.sqrt(delta)) * g / hq
-    return min(curvature, trust)
-
-
 def improve_step(g: float, hq: float, theta: float, norm_d: float) -> float:
     """Minimizer of the local quadratic model, clamped to the trust radius."""
     if g >= 0.0:

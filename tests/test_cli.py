@@ -5,8 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grassopt import QuadraticTraceModel, eigen_oracle, random_symmetric
-from grassopt.cli import COMPARE_COLUMNS, TRACE_COLUMNS, main, read_trace
+from grassopt import QuadraticTraceModel, SolveConfig, eigen_oracle, random_symmetric
+from grassopt.cli import (
+    COMPARE_COLUMNS,
+    TRACE_COLUMNS,
+    build_parser,
+    build_solver_config,
+    main,
+    read_trace,
+)
+from grassopt.search import DIRECTIONS, RETRACTIONS
 
 
 def run_cli(*argv):
@@ -339,6 +347,23 @@ class TestCheck:
 
     def test_unknown_suite_rejected(self):
         assert run_cli("check", "astrology") == 1
+
+
+class TestLibraryDefaults:
+    """The solver flags take their choices and defaults from the library."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--direction", d) for d in DIRECTIONS] + [("--retraction", r) for r in RETRACTIONS],
+    )
+    def test_every_direction_and_retraction_parses(self, command, flag, value):
+        args = build_parser().parse_args([command, flag, value])
+        assert getattr(args, flag[2:]) == value
+
+    def test_flagless_run_builds_default_config(self):
+        args = build_parser().parse_args(["run"])
+        assert build_solver_config(args, args.strategy, args.bb_mode) == SolveConfig()
 
 
 def test_bad_flag_exits_1():

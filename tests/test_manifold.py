@@ -15,7 +15,7 @@ from grassopt import (
     retract_qr,
 )
 from grassopt.linalg import thin_qr
-from grassopt.manifold import CHOLESKY_QR_MAX_STEP, retract_qr_factors
+from grassopt.manifold import CHOLESKY_QR_MAX_STEP, ORTHO_TOL, ortho_defect, retract_qr_factors
 from grassopt.checks import run_suite
 
 from conftest import random_stiefel, random_tangent
@@ -150,6 +150,17 @@ class TestCarriedRetraction:
         new, r_inv = retract_qr_factors(point, random_tangent(point, 5), 0.0)
         assert new is point
         npt.assert_array_equal(r_inv, np.eye(4))
+
+    def test_long_negative_step_falls_back_to_householder(self):
+        # rank one: G = I + t^2 D^T D has condition 1 + t^2 ||D||_F^2, which
+        # Cholesky QR would not survive at |t| ||D||_F = 1e5
+        point = random_stiefel(30, 4, 0)
+        rng = np.random.default_rng(0)
+        tangent = project_tangent(
+            point, np.outer(rng.standard_normal(30), rng.standard_normal(4))
+        )
+        new = retract_qr(point, tangent, -1e5 / tangent.norm)
+        assert ortho_defect(new.u) <= ORTHO_TOL
 
     @staticmethod
     def unchecked_direction(d, base):

@@ -355,6 +355,16 @@ class TestEigenOracle:
         with pytest.raises(ValueError, match="potential"):
             eigen_oracle(harmonic_lattice(8), 2)
 
+    @pytest.mark.parametrize("p", [7, 6, 0, -2, 2.0, True])
+    def test_rejects_p_outside_one_to_n(self, p):
+        with pytest.raises(ValueError, match="integer in"):
+            eigen_oracle(QuadraticTraceModel(random_symmetric(5, 0)), p)
+
+    @pytest.mark.parametrize("p", [5, np.int64(3)])
+    def test_accepts_integer_p_up_to_n(self, p):
+        _, minimizer = eigen_oracle(QuadraticTraceModel(random_symmetric(5, 0)), p)
+        assert minimizer.shape == (5, int(p))
+
     def test_random_matrix_is_stationary_minimum(self):
         model = QuadraticTraceModel(random_symmetric(30, seed=4))
         energy, minimizer = eigen_oracle(model, 4)

@@ -13,7 +13,6 @@ from grassopt import (
     StepParams,
     StiefelPoint,
     TangentVector,
-    acceptable_upper_bound,
     adaptive_step,
     backtracking_step,
     bb_initial,
@@ -185,50 +184,6 @@ class TestEstimator:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             estimator_zeta(1.0, 1.0, -1.0, 1.0, 0.0)
-
-
-class TestAcceptableUpperBound:
-    def test_tight_reference_curvature_branch(self):
-        # E = C: bound solves zeta(t) = eta -> 2 (1 - eta) (-g) / hq
-        g, hq, eta = -1.3, 2.7, 1e-4
-        bound = acceptable_upper_bound(5.0, 5.0, g, hq, eta, 1e9, 1.0)
-        assert bound == pytest.approx(2.0 * (1.0 - eta) * (-g) / hq)
-        assert estimator_zeta(5.0, 5.0, g, hq, bound) == pytest.approx(eta, abs=1e-10)
-
-    def test_nonpositive_curvature_trust_branch(self):
-        assert acceptable_upper_bound(1.0, 1.0, -1.0, -1.0, 1e-4, 0.2, 2.0) == 0.1
-
-    def test_eta_zero_edge(self):
-        assert acceptable_upper_bound(1.0, 1.0, -1.0, 2.0, 0.0, 1e9, 1.0) == pytest.approx(1.0)
-
-    def test_rejects_reference_above_energy(self):
-        with pytest.raises(ValueError):
-            acceptable_upper_bound(2.0, 1.0, -1.0, 1.0, 1e-4, 0.2, 1.0)
-
-    @given(
-        st.floats(-3.0, 0.0),  # E - C
-        st.floats(-4.0, -1e-3),  # g
-        st.floats(-5.0, 5.0),  # hq
-        st.floats(1e-4, 0.4),  # eta
-        st.floats(0.05, 2.0),  # theta
-        st.floats(0.1, 10.0),  # ||D||
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_interval_characterization(self, gap, g, hq, eta, theta, norm_d):
-        """t <= bound iff (zeta(t) >= eta and t ||D|| <= theta), tested just
-        inside and just outside the bound."""
-        e, c = gap, 0.0
-        bound = acceptable_upper_bound(e, c, g, hq, eta, theta, norm_d)
-        assert bound > 0.0
-        inside = bound * (1.0 - 1e-6)
-        assert estimator_zeta(e, c, g, hq, inside) >= eta - 1e-10
-        assert inside * norm_d <= theta + 1e-10
-        outside = bound * (1.0 + 1e-6)
-        ok = (
-            estimator_zeta(e, c, g, hq, outside) >= eta - 1e-10
-            and outside * norm_d <= theta + 1e-10
-        )
-        assert not ok
 
 
 class TestImproveStep:
