@@ -27,8 +27,9 @@ class EnergyModel(abc.ABC):
     the two to share work, but must return exactly what they return.
 
     `solve` carries A U across QR retractions exactly when the model
-    defines `apply_operator(x) -> A x`.  A model that defines it accepts the
-    products A U and A D as `evaluate(u, au)` and `hessian_apply(u, d, ad)`,
+    defines `apply_operator(x) -> A x`, and backtracking then applies A once
+    per trial and no more.  A model that defines it accepts the products A U
+    and A D as `value(u, au)`, `evaluate(u, au)` and `hessian_apply(u, d, ad)`,
     and returns the same bits with or without them.  The concrete
     `TraceDensityModel` is final, since its fused `evaluate` and its
     `apply_operator` would bypass a subclass's redefinitions; a variant
@@ -105,8 +106,10 @@ class TraceDensityModel(EnergyModel):
     def density(self, u: np.ndarray) -> np.ndarray:
         return np.sum(u * u, axis=1)
 
-    def value(self, u):
-        return self._energy(u, self.a @ u, self._rho(u))
+    def value(self, u, au=None):
+        if au is None:
+            au = self.a @ u
+        return self._energy(u, au, self._rho(u))
 
     def euclidean_gradient(self, u):
         return self._gradient(u, self.a @ u, self._rho(u))

@@ -8,7 +8,9 @@ spent inside backtracking trials.
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
 next: U_new R = U + t D gives A U_new = (A U + t A D) R^-1, so an iteration
-applies A once, to D.
+applies A once, to D.  With backtracking and such a model, each trial
+applies A once, to its frame, and the accepted trial's exact product is
+the next iterate's A U, so an iteration applies A once per trial and no more.
 
 One rule decides every exit: each exit follows an exact evaluation.  An
 iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,
@@ -204,7 +206,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         and config.retraction == "qr"
         and getattr(model, "apply_operator", None) is not None
     )
-    au: Optional[np.ndarray] = None  # A U of `point` when carry is on
+    # A U of `point`: carried, or formed by backtracking's accepted trial
+    au: Optional[np.ndarray] = None
     carried = False  # whether `au` came from the recurrence
     again = False  # whether this turn evaluates the same iterate again, exactly
     failure = ""  # diagnostic of a failed step
@@ -278,7 +281,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 else:
                     next_point = retraction(point, direction, decision.t)
             elif config.strategy == "backtracking":
-                decision, next_point = ss.backtracking_step(
+                decision, next_point, au = ss.backtracking_step(
                     model,
                     point,
                     direction,

@@ -10,7 +10,7 @@ evaluation.  The adaptive path never touches either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +60,7 @@ def nm_update(state: NonMonotoneState, e_new: float) -> NonMonotoneState:
     """Advance the (C, Q) recursion with the newest energy."""
     q_new = state.alpha * state.q + 1.0
     c_new = (state.alpha * state.q * state.c + e_new) / q_new
-    return replace(state, c=c_new, q=q_new)
+    return NonMonotoneState(state.alpha, c_new, q_new)
 
 
 @dataclass(frozen=True)
@@ -207,21 +207,26 @@ def backtracking_step(
     c_ref: float,
     retraction: Retraction,
     g: float,
-) -> tuple[StepDecision, StiefelPoint]:
+) -> tuple[StepDecision, StiefelPoint, Optional[np.ndarray]]:
     """Shrink t by k until the non-monotone sufficient-decrease condition
     E(ortho(U, D, t)) - C <= eta * t * g holds, where g = <grad, D> is the
     slope along the direction.
 
-    Each trial costs one retraction and one energy evaluation; the accepted
-    trial point is returned so the caller need not recompute it.
+    Each trial costs one retraction and one energy evaluation.  With
+    `apply_operator`, a trial applies A once, to its frame U+, and is scored
+    by `value(U+, A U+)`.  Returns the decision, the accepted trial point and
+    its product A U+ (None for a model without `apply_operator`), so the
+    caller need not recompute either.
     """
     if g >= 0.0:
         raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
+    operator = getattr(model, "apply_operator", None)
     t = max(t_initial, params.t_min)
     reason = "floor" if t > t_initial else "none"
     for count in range(MAX_BACKTRACKS + 1):
         candidate = retraction(point, tangent, t)
-        e_trial = model.value(candidate.u)
+        au = None if operator is None else operator(candidate.u)
+        e_trial = model.value(candidate.u) if au is None else model.value(candidate.u, au)
         if e_trial - c_ref <= params.eta * t * g:
             return (
                 StepDecision(
@@ -232,6 +237,7 @@ def backtracking_step(
                     backtracks=count,
                 ),
                 candidate,
+                au,
             )
         t *= params.k
     raise MaxBacktracks(f"no acceptable step after {MAX_BACKTRACKS} shrinks")

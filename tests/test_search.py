@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -270,14 +272,20 @@ class TestEvaluationProtocol:
 
 
 class CarriedLog(Delegate):
-    """Keeps apply_operator and logs every (U, supplied A U) it evaluates."""
+    """Keeps apply_operator and logs every (U, supplied A U) it evaluates,
+    with `evaluate` in `seen` and with `value` in `valued`."""
 
     def __init__(self, model):
         super().__init__(model)
         self.seen = []
+        self.valued = []
 
     def apply_operator(self, x):
         return self.model.apply_operator(x)
+
+    def value(self, u, au=None):
+        self.valued.append((u, au))
+        return self.model.value(u, au)
 
     def evaluate(self, u, au=None):
         self.seen.append((u, au))
@@ -341,14 +349,66 @@ class TestCarriedProduct:
         assert 0.0 < max(drifts) <= CARRY_DRIFT_BOUND
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"strategy": "backtracking"}, {"strategy": "none"}, {"retraction": "geodesic"}],
+        "kwargs", [{"strategy": "none"}, {"retraction": "geodesic"}], ids=["none", "geodesic"]
     )
     def test_other_paths_evaluate_exactly(self, kwargs):
         model = CarriedLog(harmonic_lattice(48))
         config = SolveConfig(epsilon=1e-14, max_iter=20, **kwargs)
         solve(model, random_stiefel(48, 3, 23), config)
         assert model.seen and all(au is None for _, au in model.seen)
+
+
+class TestBacktrackingProduct:
+    """Backtracking on a model with apply_operator applies A once per trial
+    and hands the accepted trial's exact A U+ to the next iterate."""
+
+    def test_supplied_products_are_exact_and_reused(self):
+        model = CarriedLog(harmonic_lattice(48))
+        config = SolveConfig(epsilon=1e-14, max_iter=20, strategy="backtracking")
+        result = solve(model, random_stiefel(48, 3, 23), config)
+        assert result.status is Status.MAX_ITERATIONS
+        for u, au in model.seen + model.valued:
+            if au is not None:
+                npt.assert_array_equal(au, model.model.a @ u)
+        # iterate 0 is evaluated exactly, every later one with a supplied product
+        assert len(model.seen) == result.iters + 1
+        assert model.seen[0][1] is None
+        assert all(au is not None for _, au in model.seen[1:])
+        # ... namely the one its accepted trial was scored with
+        accepted = np.cumsum([rec.backtracks + 1 for rec in result.trace]) - 1
+        assert len(model.valued) == accepted[-1] + 1
+        for (u, au), k in zip(model.seen[1:], accepted):
+            assert u is model.valued[k][0] and au is model.valued[k][1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"direction": "cg_restart", "retraction": "geodesic"}],
+        ids=["steepest-qr", "cg-geodesic"],
+    )
+    @pytest.mark.parametrize("make", TestCarriedProduct.MODELS, ids=["quadratic", "lattice"])
+    def test_reuse_is_bit_identical_to_exact_path(self, make, kwargs):
+        model, u0 = make()
+        config = SolveConfig(epsilon=1e-8, max_iter=400, strategy="backtracking", **kwargs)
+        reused = solve(model, u0, config)
+        exact = solve(Delegate(model), u0, config)
+        assert reused.iters > 0
+        assert (reused.status, reused.iters, reused.diagnostic) == (
+            exact.status,
+            exact.iters,
+            exact.diagnostic,
+        )
+        assert [replace(r, elapsed=0.0) for r in reused.trace] == [
+            replace(r, elapsed=0.0) for r in exact.trace
+        ]
+        assert reused.final_point.u.tobytes() == exact.final_point.u.tobytes()
+        assert (reused.final_energy, reused.final_residual) == (
+            exact.final_energy,
+            exact.final_residual,
+        )
+        assert (reused.total_energy_evals, reused.total_retraction_evals) == (
+            exact.total_energy_evals,
+            exact.total_retraction_evals,
+        )
 
 
 def nudged(point):

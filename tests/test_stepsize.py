@@ -261,9 +261,10 @@ class TestBacktrackingStep:
 
     def test_small_initial_accepted(self):
         params = StepParams()
-        decision, candidate = backtracking_step(
+        decision, candidate, au = backtracking_step(
             self.model, self.point, self.tangent, 1e-6, params, self.c, retract_qr, g=self.g
         )
+        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
         assert decision.backtracks == 0 and decision.initial_accepted
         assert decision.t == 1e-6
         assert (
@@ -273,9 +274,17 @@ class TestBacktrackingStep:
 
     def test_large_initial_shrinks(self):
         params = StepParams()
-        decision, candidate = backtracking_step(
+        decision, candidate, au = backtracking_step(
             self.model, self.point, self.tangent, 10.0, params, self.c, retract_qr, g=self.g
         )
+        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
+        # a model without apply_operator takes the same steps and returns no product
+        wrapped = Delegate(self.model)
+        exact = backtracking_step(
+            wrapped, self.point, self.tangent, 10.0, params, self.c, retract_qr, g=self.g
+        )
+        assert exact[0] == decision and exact[2] is None
+        assert exact[1].u.tobytes() == candidate.u.tobytes()
         assert decision.backtracks > 0 and not decision.initial_accepted
         assert decision.t == pytest.approx(10.0 * params.k**decision.backtracks)
         assert (
@@ -303,9 +312,10 @@ class TestBacktrackingStep:
         assert shrinks >= 2
         t0 = t / params.k**2
         assert not probe(t0) and not probe(t0 * params.k) and probe(t0 * params.k**2)
-        decision, _ = backtracking_step(
+        decision, candidate, au = backtracking_step(
             self.model, self.point, self.tangent, t0, params, self.c, retract_qr, g=self.g
         )
+        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
         assert decision.backtracks == 2
         assert decision.t == pytest.approx(t0 / 4.0)
 
