@@ -37,7 +37,6 @@ from .search import (
     Status,
     cg_direction,
     solve,
-    steepest_direction,
 )
 from .stepsize import (
     DegenerateDenominator,

@@ -17,6 +17,7 @@ from . import stepsize as ss
 from .linalg import thin_qr
 from .manifold import (
     StiefelPoint,
+    ortho_defect,
     project_tangent,
     retract_geodesic,
     retract_qr,
@@ -42,8 +43,8 @@ def _random_point(rng, n, p) -> StiefelPoint:
     return StiefelPoint(q)
 
 
-def _random_tangent(rng, point: StiefelPoint):
-    return project_tangent(point, rng.standard_normal(point.shape))
+def _random_tangent(rng, u: np.ndarray) -> np.ndarray:
+    return project_tangent(u, rng.standard_normal(u.shape))
 
 
 def _random_orthogonal(rng, p) -> np.ndarray:
@@ -64,14 +65,14 @@ def check_retraction_axioms() -> CheckResult:
     worst = 0.0
     for retract in (retract_qr, retract_geodesic):
         for _ in range(20):
-            point = _random_point(rng, 25, 4)
-            tangent = _random_tangent(rng, point)
-            if not np.array_equal(retract(point, tangent, 0.0).u, point.u):
+            u = _random_point(rng, 25, 4).u
+            d = _random_tangent(rng, u)
+            if not np.array_equal(retract(u, d, 0.0), u):
                 return CheckResult("retraction_axioms", False, "value at t=0 not exact")
             errs = []
             for h in (1e-3, 1e-4, 1e-5):
-                fd = (retract(point, tangent, h).u - point.u) / h
-                errs.append(np.linalg.norm(fd - tangent.d))
+                fd = (retract(u, d, h) - u) / h
+                errs.append(np.linalg.norm(fd - d))
             ratios = [errs[i] / errs[i + 1] for i in range(2)]
             worst = max(worst, abs(ratios[0] - 10.0), abs(ratios[1] - 10.0))
             if any(r < 5.0 for r in ratios):
@@ -88,18 +89,15 @@ def check_feasibility() -> CheckResult:
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(1500):
-        point = _random_point(rng, 20, 3)
-        tangent = _random_tangent(rng, point)
+        u = _random_point(rng, 20, 3).u
+        d = _random_tangent(rng, u)
         if i < 1000:
             t = 10.0 * rng.random()
             retract = retract_qr if i % 2 == 0 else retract_geodesic
         else:
-            t = 2.0 * rng.random() / tangent.norm
+            t = 2.0 * rng.random() / np.linalg.norm(d)
             retract = retract_qr
-        new = retract(point, tangent, t)
-        worst = max(
-            worst, np.linalg.norm(new.u.T @ new.u - np.eye(new.shape[1]))
-        )
+        worst = max(worst, ortho_defect(retract(u, d, t)))
     return CheckResult("feasibility", worst <= 1e-10, f"max defect {worst:.2e}")
 
 
@@ -109,12 +107,12 @@ def check_second_order_defect() -> CheckResult:
     rng = np.random.default_rng(102)
     for retract in (retract_qr, retract_geodesic):
         for _ in range(50):
-            point = _random_point(rng, 30, 4)
-            tangent = _random_tangent(rng, point)
+            u = _random_point(rng, 30, 4).u
+            d = _random_tangent(rng, u)
             defects = []
             for t in (1e-1, 1e-2, 1e-3):
-                diff = retract(point, tangent, t).u - point.u - t * tangent.d
-                defects.append(np.linalg.norm(diff) / (t * tangent.norm))
+                diff = retract(u, d, t) - u - t * d
+                defects.append(np.linalg.norm(diff) / (t * np.linalg.norm(d)))
             if not (defects[0] > defects[1] > defects[2]):
                 return CheckResult(
                     "second_order_defect", False, f"defects not decreasing: {defects}"
@@ -181,8 +179,8 @@ def check_gradient_tangency() -> CheckResult:
     for _ in range(100):
         for model, n, p in _models(rng):
             point = _random_point(rng, n, p)
-            g = grassmann_gradient(model, point)
-            worst = max(worst, np.linalg.norm(point.u.T @ g.d))
+            g = project_tangent(point.u, model.euclidean_gradient(point.u))
+            worst = max(worst, np.linalg.norm(point.u.T @ g))
     return CheckResult("gradient_tangency", worst <= 1e-10, f"max {worst:.2e}")
 
 
@@ -234,14 +232,14 @@ def check_taylor_expansion() -> CheckResult:
     for _ in range(40):
         for model, n, p in _models(rng):
             point = _random_point(rng, n, p)
-            tangent = _random_tangent(rng, point)
-            tangent = tangent.scaled(1.0 / tangent.norm)
+            d = _random_tangent(rng, point.u)
+            d = d / np.linalg.norm(d)  # a unit tangent
             e0 = model.value(point.u)
-            g = float(np.sum(grassmann_gradient(model, point).d * tangent.d))
-            hq = grassmann_hessian_qform(model, point, tangent)
+            g = float(np.sum(grassmann_gradient(model, point).d * d))
+            hq = grassmann_hessian_qform(model, point.u, d)
             rems = []
             for t in (1e-1, 1e-2):
-                et = model.value(retract_geodesic(point, tangent, t).u)
+                et = model.value(retract_geodesic(point.u, d, t))
                 rems.append(abs(et - e0 - t * g - 0.5 * t * t * hq))
             trials += 1
             # ratio ~ 1000; allow slack for cancellation noise at 1e-2
@@ -258,13 +256,13 @@ def check_qform_fd() -> CheckResult:
     t = 1e-4
     for _ in range(100):
         for model, n, p in _models(rng):
-            point = _random_point(rng, n, p)
-            tangent = _random_tangent(rng, point)
-            tangent = tangent.scaled(1.0 / tangent.norm)
-            hq = grassmann_hessian_qform(model, point, tangent)
-            e0 = model.value(point.u)
-            ep = model.value(retract_geodesic(point, tangent, t).u)
-            em = model.value(retract_geodesic(point, tangent, -t).u)
+            u = _random_point(rng, n, p).u
+            d = _random_tangent(rng, u)
+            d = d / np.linalg.norm(d)  # a unit tangent
+            hq = grassmann_hessian_qform(model, u, d)
+            e0 = model.value(u)
+            ep = model.value(retract_geodesic(u, d, t))
+            em = model.value(retract_geodesic(u, d, -t))
             fd = (ep - 2.0 * e0 + em) / (t * t)
             if abs(fd - hq) > 1e-4 * (1.0 + abs(hq)):
                 return CheckResult("qform_fd", False, f"hq {hq} vs fd {fd}")

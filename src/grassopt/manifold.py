@@ -4,10 +4,12 @@ A point is an n-by-p frame with orthonormal columns; the subspace it spans
 is the Grassmann point.  Tangent vectors D satisfy U^T D = 0.  Two
 retractions are provided: QR-based and the exact geodesic.
 
-The public constructors check their invariant (U^T U = I, U^T D = 0).  The
-frames and tangents this module's kernels build from their own arithmetic
-are frozen in place and checked for finiteness only; `solve` checks the
-orthonormality of its iterates at entry, at exact refreshes and at exit.
+`StiefelPoint` and `TangentVector` are the typed frames of the public API:
+their constructors check the invariant (U^T U = I, U^T D = 0) on a frozen
+copy.  The kernels below work on plain n-by-p arrays and check neither
+invariant; the frames the retractions compute are made read-only in place.
+`solve` checks the orthonormality of its iterates at entry, at exact
+refreshes and at exit.
 """
 
 from __future__ import annotations
@@ -78,60 +80,27 @@ class TangentVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.d))
 
-    def __neg__(self) -> "TangentVector":
-        return _trusted_tangent(-self.d, self.base)
 
-    def scaled(self, c: float) -> "TangentVector":
-        return _trusted_tangent(c * self.d, self.base)
-
-
-def _freeze_fresh(a: np.ndarray, what: str) -> np.ndarray:
-    """Make a float array that no one else holds read-only, without a copy."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"non-finite {what}")
-    a.setflags(write=False)
-    return a
-
-
-def _trusted_point(u: np.ndarray) -> StiefelPoint:
-    """A frame computed by a retraction from an orthonormal frame; U^T U is
-    not recomputed."""
-    point = object.__new__(StiefelPoint)
-    object.__setattr__(point, "u", _freeze_fresh(u, "frame"))
-    return point
-
-
-def _trusted_tangent(d: np.ndarray, base: StiefelPoint) -> TangentVector:
-    """A tangent computed from tangents or by projection at `base`; U^T D is
-    not recomputed."""
-    tangent = object.__new__(TangentVector)
-    object.__setattr__(tangent, "d", _freeze_fresh(d, "tangent"))
-    object.__setattr__(tangent, "base", base)
-    return tangent
-
-
-def project_tangent(point: StiefelPoint, g) -> TangentVector:
-    """Orthogonal projection of an ambient matrix onto the tangent space."""
+def project_tangent(u: np.ndarray, g) -> np.ndarray:
+    """Orthogonal projection of an ambient matrix onto the tangent space at
+    the frame `u`."""
     gm = np.asarray(g, dtype=float)
-    if gm.shape != point.shape:
-        raise ShapeMismatch(f"shape {gm.shape} != point shape {point.shape}")
-    d = gm - point.u @ (point.u.T @ gm)
+    if gm.shape != u.shape:
+        raise ShapeMismatch(f"shape {gm.shape} != frame shape {u.shape}")
+    d = gm - u @ (u.T @ gm)
     # kill first-order roundoff so the tangency invariant holds exactly
-    d = d - point.u @ (point.u.T @ d)
-    return _trusted_tangent(d, point)
+    return d - u @ (u.T @ d)
 
 
-def retract_qr(point: StiefelPoint, tangent: TangentVector, t: float) -> StiefelPoint:
+def retract_qr(u: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
     """QR retraction: the frame of retract_qr_factors, the Q factor of U + t D
     with a positive-diagonal R."""
-    return retract_qr_factors(point, tangent, t)[0]
+    return retract_qr_factors(u, d, t)[0]
 
 
-def retract_qr_factors(
-    point: StiefelPoint, tangent: TangentVector, t: float
-) -> tuple[StiefelPoint, np.ndarray]:
+def retract_qr_factors(u: np.ndarray, d: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """QR retraction together with the inverse of its p-by-p factor:
-    U + t D = U_new R, returned as (U_new, R^-1).
+    U + t D = U_new R, returned as (U_new, R^-1), U_new read-only.
 
     Up to |t| ||D||_F = CHOLESKY_QR_MAX_STEP this is a Cholesky QR: R is the
     transposed Cholesky factor of G = (U + t D)^T (U + t D) and
@@ -141,30 +110,33 @@ def retract_qr_factors(
     positive definite.
     """
     if t == 0.0:
-        return point, np.eye(point.shape[1])
-    x = point.u + t * tangent.d
-    if abs(t) * tangent.norm > CHOLESKY_QR_MAX_STEP:
+        return u, np.eye(u.shape[1])
+    x = u + t * d
+    if abs(t) * float(np.linalg.norm(d)) > CHOLESKY_QR_MAX_STEP:
         q, r = thin_qr(x)
-        return _trusted_point(q), np.linalg.inv(r)
-    gram = x.T @ x
-    if not np.isfinite(gram).all():
-        raise ConvergenceFailure("non-finite input to the Cholesky QR retraction")
-    try:
-        r = np.linalg.cholesky(gram).T
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"Cholesky QR retraction: {exc}") from exc
-    r_inv = np.linalg.inv(r)
-    return _trusted_point(x @ r_inv), r_inv
+        r_inv = np.linalg.inv(r)
+    else:
+        gram = x.T @ x
+        if not np.isfinite(gram).all():
+            raise ConvergenceFailure("non-finite input to the Cholesky QR retraction")
+        try:
+            r = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"Cholesky QR retraction: {exc}") from exc
+        r_inv = np.linalg.inv(r)
+        q = x @ r_inv
+    q.setflags(write=False)
+    return q, r_inv
 
 
-def retract_geodesic(
-    point: StiefelPoint, tangent: TangentVector, t: float
-) -> StiefelPoint:
-    """Exponential-map retraction along the exact Grassmann geodesic."""
+def retract_geodesic(u: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
+    """Exponential-map retraction along the exact Grassmann geodesic; the
+    new frame is read-only."""
     if t == 0.0:
-        return point
-    a, s, qt = svd_thin(tangent.d)  # d = a @ diag(s) @ b.T
+        return u
+    a, s, qt = svd_thin(d)  # d = a @ diag(s) @ b.T
     b = qt.T
     st = s * t
-    u_new = (point.u @ b) * np.cos(st) @ b.T + a * np.sin(st) @ b.T
-    return _trusted_point(u_new)
+    u_new = (u @ b) * np.cos(st) @ b.T + a * np.sin(st) @ b.T
+    u_new.setflags(write=False)
+    return u_new

@@ -95,7 +95,8 @@ class TraceDensityModel(EnergyModel):
         nrm = np.linalg.norm(mat)
         if nrm > 0 and np.linalg.norm(mat - mat.T) > 1e-10 * nrm:
             raise ValueError("matrix not symmetric within 1e-10 relative")
-        mat = 0.5 * (mat + mat.T)
+        mat = mat + mat.T
+        mat *= 0.5
         mat.setflags(write=False)
         object.__setattr__(self, "a", mat)
 
@@ -173,11 +174,11 @@ def harmonic_lattice(
         raise ValueError(f"well depth must be finite, got {well}")
     h = length / (npts + 1)
     x = h * np.arange(1, npts + 1)
-    lap = (
-        np.diag(np.full(npts, 2.0))
-        - np.diag(np.ones(npts - 1), 1)
-        - np.diag(np.ones(npts - 1), -1)
-    ) / h**2
+    # built in place: the dense temporaries of np.diag would raise peak memory
+    lap = np.zeros((npts, npts))
+    i = np.arange(npts)
+    lap[i, i] = 2.0 / h**2
+    lap[i[:-1], i[1:]] = lap[i[1:], i[:-1]] = -1.0 / h**2
     v = 0.5 * well * (x - 0.5 * length) ** 2
     return TraceDensityModel(a=lap, v=v, h=h, gamma=gamma)
 
@@ -209,24 +210,24 @@ def load_matrix(path) -> np.ndarray:
 
 
 def grassmann_gradient(model: EnergyModel, point: StiefelPoint) -> TangentVector:
-    """Tangent projection (I - U U^T) grad E(U)."""
-    return project_tangent(point, model.euclidean_gradient(point.u))
+    """Tangent projection (I - U U^T) grad E(U), checked as a TangentVector."""
+    return TangentVector(project_tangent(point.u, model.euclidean_gradient(point.u)), point)
 
 
 def grassmann_hessian_qform(
     model: EnergyModel,
-    point: StiefelPoint,
-    tangent: TangentVector,
+    u: np.ndarray,
+    d: np.ndarray,
     egrad: Optional[np.ndarray] = None,
     ad: Optional[np.ndarray] = None,
 ) -> float:
-    """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)).
+    """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)) for a
+    frame `u` and a tangent `d` at it.
 
-    `egrad` is the Euclidean gradient at `point` if the caller already has
-    it; otherwise it is computed here.  `ad` is the product A D of a model
-    with `apply_operator`, passed on to its `hessian_apply`.
+    `egrad` is the Euclidean gradient at `u` if the caller already has it;
+    otherwise it is computed here.  `ad` is the product A D of a model with
+    `apply_operator`, passed on to its `hessian_apply`.
     """
-    u, d = point.u, tangent.d
     if egrad is None:
         egrad = model.euclidean_gradient(u)
     hd = model.hessian_apply(u, d) if ad is None else model.hessian_apply(u, d, ad)

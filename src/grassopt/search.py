@@ -19,7 +19,9 @@ or a failed step.  In that last case the loop goes round once more on the
 same iterate; the evaluation is not counted again and a failed step is not
 retried.
 
-The frames and tangents the loop builds are not validated one by one.  The
+Typed frames stay at the edge: `solve` takes a StiefelPoint and returns
+one, and inside the loop frames, gradients and directions are plain n-by-p
+arrays.  The frames and directions handed to the model are read-only.  The
 orthonormality of the iterate is checked at entry, after every exact
 evaluation of a carried solve, and at any exit that is not already a
 failure.  A defect above ORTHO_TOL ends the solve as FAILED, with that
@@ -41,9 +43,7 @@ from . import stepsize as ss
 from .linalg import LinalgError
 from .manifold import (
     StiefelPoint,
-    TangentVector,
     ORTHO_TOL,
-    _trusted_tangent,
     ortho_defect,
     project_tangent,
     retract_geodesic,
@@ -141,48 +141,49 @@ class SolveResult:
         return len(self.trace)
 
 
-def steepest_direction(grad: TangentVector) -> TangentVector:
-    """Negative gradient; always a descent direction when grad != 0."""
-    return -grad
-
-
 def cg_direction(
-    g_new: TangentVector,
-    g_old: Optional[TangentVector],
-    d_old: Optional[TangentVector],
-    u_new: StiefelPoint,
+    g_new: np.ndarray,
+    g_old: Optional[np.ndarray],
+    d_old: Optional[np.ndarray],
+    u_new: np.ndarray,
     iter_index: int,
     period: int,
-) -> tuple[TangentVector, bool]:
+    norm_new: float,
+    norm_old: float,
+) -> tuple[np.ndarray, float, bool]:
     """Polak-Ribiere-plus direction with periodic restart and descent /
-    boundedness safeguards.  Previous tangents are moved to the new tangent
-    space by projection."""
+    boundedness safeguards, as (D, ||D||_F, whether it was reset to -G).
+    `norm_new` and `norm_old` are the norms of the gradients g_new and g_old.
+    Previous tangents are moved to the tangent space at `u_new` by
+    projection."""
     if g_old is None or d_old is None or iter_index % period == 0:
-        return steepest_direction(g_new), True
-    g_old_here = project_tangent(u_new, g_old.d)
-    d_old_here = project_tangent(u_new, d_old.d)
-    denom = g_old.norm**2
+        return -g_new, norm_new, True
+    g_old_here = project_tangent(u_new, g_old)
+    d_old_here = project_tangent(u_new, d_old)
+    denom = norm_old**2
     beta = 0.0
     if denom > 0.0:
-        beta = float(np.sum(g_new.d * (g_new.d - g_old_here.d))) / denom
+        beta = float(np.sum(g_new * (g_new - g_old_here))) / denom
     beta = max(0.0, beta)
-    d = _trusted_tangent(-g_new.d + beta * d_old_here.d, u_new)
-    slope = float(np.sum(g_new.d * d.d))
-    if slope > -_CG_DESCENT_TOL * g_new.norm**2 or d.norm > _CG_GROWTH * g_new.norm:
-        return steepest_direction(g_new), True
-    return d, False
+    d = -g_new + beta * d_old_here
+    d_norm = float(np.linalg.norm(d))
+    slope = float(np.sum(g_new * d))
+    # a NaN slope or norm fails both tests and resets too
+    if not (slope <= -_CG_DESCENT_TOL * norm_new**2 and d_norm <= _CG_GROWTH * norm_new):
+        return -g_new, norm_new, True
+    return d, d_norm, False
 
 
-def _evaluate(model: EnergyModel, point: StiefelPoint, au: Optional[np.ndarray]):
-    """(energy, Euclidean gradient, Grassmann gradient, residual) at `point`,
-    from the product au = A U when it is given.  A non-finite gradient has no
-    tangent projection: the Grassmann gradient is then None and the residual
-    NaN."""
-    energy, egrad = model.evaluate(point.u) if au is None else model.evaluate(point.u, au)
+def _evaluate(model: EnergyModel, u: np.ndarray, au: Optional[np.ndarray]):
+    """(energy, Euclidean gradient, Grassmann gradient, residual) at the
+    frame `u`, from the product au = A U when it is given.  A non-finite
+    gradient has no tangent projection: the Grassmann gradient is then None
+    and the residual NaN."""
+    energy, egrad = model.evaluate(u) if au is None else model.evaluate(u, au)
     if not np.isfinite(egrad).all():
         return energy, egrad, None, math.nan
-    grad = project_tangent(point, egrad)
-    return energy, egrad, grad, grad.norm
+    grad = project_tangent(u, egrad)
+    return energy, egrad, grad, float(np.linalg.norm(grad))
 
 
 def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveResult:
@@ -196,27 +197,28 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     energy_evals = 0
     retraction_evals = 0
 
-    def retraction(point, tangent, t):
+    def retraction(u, d, t):
         nonlocal retraction_evals
         retraction_evals += 1
-        return base_retract(point, tangent, t)
+        return base_retract(u, d, t)
 
     carry = (
         config.strategy == "adaptive"
         and config.retraction == "qr"
         and getattr(model, "apply_operator", None) is not None
     )
-    # A U of `point`: carried, or formed by backtracking's accepted trial
+    # A U of `u`: carried, or formed by backtracking's accepted trial
     au: Optional[np.ndarray] = None
     carried = False  # whether `au` came from the recurrence
     again = False  # whether this turn evaluates the same iterate again, exactly
     failure = ""  # diagnostic of a failed step
     params = config.step_params
-    point = u0
+    u = u0.u  # the iterate
     nm: Optional[ss.NonMonotoneState] = None
     prev_u: Optional[np.ndarray] = None
-    g_prev: Optional[TangentVector] = None
-    d_prev: Optional[TangentVector] = None
+    g_prev: Optional[np.ndarray] = None
+    d_prev: Optional[np.ndarray] = None
+    residual_prev = math.nan
     trace: list[IterationRecord] = []
 
     n = 0
@@ -227,8 +229,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         try:
             energy_evals += not again
             if carry and not carried:
-                au = model.apply_operator(point.u)
-            energy, egrad, grad, residual = _evaluate(model, point, au)
+                au = model.apply_operator(u)
+            energy, egrad, grad, residual = _evaluate(model, u, au)
         except (LinalgError, FloatingPointError) as exc:
             error = f"iteration {n}: {exc}"
         status, diagnostic = None, ""
@@ -245,7 +247,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             continue
         # the frame is checked after each exact evaluation of a carried solve, and at exit
         if status is not Status.FAILED and (status is not None or carry and not carried):
-            defect = ortho_defect(point.u)
+            defect = ortho_defect(u)
             if not defect <= ORTHO_TOL:
                 status = Status.FAILED
                 diagnostic = f"iteration {n}: orthonormality defect {defect:.3e}"
@@ -254,36 +256,35 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         nm = ss.initial_nm_state(config.alpha, energy) if nm is None else ss.nm_update(nm, energy)
 
         if config.direction == "steepest":
-            direction, was_reset = steepest_direction(grad), False
+            direction, d_norm, was_reset = -grad, residual, False
         else:
-            direction, was_reset = cg_direction(
-                grad, g_prev, d_prev, point, n, config.cg_restart_period
+            direction, d_norm, was_reset = cg_direction(
+                grad, g_prev, d_prev, u, n, config.cg_restart_period, residual, residual_prev
             )
-        slope = float(np.sum(grad.d * direction.d))
+        direction.setflags(write=False)
+        slope = float(np.sum(grad * direction))
         assert slope < 0.0
 
-        s = None if prev_u is None else point.u - prev_u
-        y = None if g_prev is None else grad.d - g_prev.d
+        s = None if prev_u is None else u - prev_u
+        y = None if g_prev is None else grad - g_prev
         t_initial = ss.bb_initial(n, s, y, mode=config.bb_mode, first_step=config.first_step)
 
         try:
             if config.strategy == "adaptive":
-                ad = model.apply_operator(direction.d) if carry else None
-                hq = grassmann_hessian_qform(model, point, direction, egrad, ad)
-                decision = ss.adaptive_step(
-                    energy, nm.c, slope, hq, t_initial, params, direction.norm
-                )
+                ad = model.apply_operator(direction) if carry else None
+                hq = grassmann_hessian_qform(model, u, direction, egrad, ad)
+                decision = ss.adaptive_step(energy, nm.c, slope, hq, t_initial, params, d_norm)
                 if carry:
                     retraction_evals += 1
-                    next_point, r_inv = retract_qr_factors(point, direction, decision.t)
+                    next_u, r_inv = retract_qr_factors(u, direction, decision.t)
                     au = (au + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
                     carried = au is not None
                 else:
-                    next_point = retraction(point, direction, decision.t)
+                    next_u = retraction(u, direction, decision.t)
             elif config.strategy == "backtracking":
-                decision, next_point, au = ss.backtracking_step(
+                decision, next_u, au = ss.backtracking_step(
                     model,
-                    point,
+                    u,
                     direction,
                     t_initial,
                     params,
@@ -301,7 +302,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                     clamp_reason="none",
                     backtracks=0,
                 )
-                next_point = retraction(point, direction, t)
+                next_u = retraction(u, direction, t)
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
             if isinstance(exc, ss.MaxBacktracks):
                 energy_evals += ss.MAX_BACKTRACKS + 1  # every trial was evaluated
@@ -326,13 +327,19 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 elapsed=time.perf_counter() - tic,
             )
         )
-        g_prev, d_prev, prev_u = grad, direction, point.u
-        point, n, again = next_point, n + 1, False
+        g_prev, d_prev, prev_u, residual_prev = grad, direction, u, residual
+        u, n, again = next_u, n + 1, False
         tic = time.perf_counter()
 
+    if status is Status.FAILED:
+        # the frame a failure stopped at may be what failed: report it unchecked
+        final_point = object.__new__(StiefelPoint)
+        object.__setattr__(final_point, "u", u)
+    else:
+        final_point = StiefelPoint(u)
     return SolveResult(
         status=status,
-        final_point=point,
+        final_point=final_point,
         final_energy=energy,
         final_residual=residual,
         trace=trace,

@@ -15,8 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .manifold import StiefelPoint, TangentVector
-
 BB_DENOM_TOL = 1e-30
 BB_FALLBACK = 1.0
 MAX_BACKTRACKS = 100
@@ -195,26 +193,27 @@ def adaptive_step(
     )
 
 
-Retraction = Callable[[StiefelPoint, TangentVector, float], StiefelPoint]
+# (frame U, tangent D, step t) -> retracted frame, all n-by-p arrays
+Retraction = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def backtracking_step(
     model,
-    point: StiefelPoint,
-    tangent: TangentVector,
+    u: np.ndarray,
+    d: np.ndarray,
     t_initial: float,
     params: StepParams,
     c_ref: float,
     retraction: Retraction,
     g: float,
-) -> tuple[StepDecision, StiefelPoint, Optional[np.ndarray]]:
+) -> tuple[StepDecision, np.ndarray, Optional[np.ndarray]]:
     """Shrink t by k until the non-monotone sufficient-decrease condition
     E(ortho(U, D, t)) - C <= eta * t * g holds, where g = <grad, D> is the
-    slope along the direction.
+    slope along the tangent D at the frame U.
 
     Each trial costs one retraction and one energy evaluation.  With
     `apply_operator`, a trial applies A once, to its frame U+, and is scored
-    by `value(U+, A U+)`.  Returns the decision, the accepted trial point and
+    by `value(U+, A U+)`.  Returns the decision, the accepted trial frame and
     its product A U+ (None for a model without `apply_operator`), so the
     caller need not recompute either.
     """
@@ -224,9 +223,9 @@ def backtracking_step(
     t = max(t_initial, params.t_min)
     reason = "floor" if t > t_initial else "none"
     for count in range(MAX_BACKTRACKS + 1):
-        candidate = retraction(point, tangent, t)
-        au = None if operator is None else operator(candidate.u)
-        e_trial = model.value(candidate.u) if au is None else model.value(candidate.u, au)
+        candidate = retraction(u, d, t)
+        au = None if operator is None else operator(candidate)
+        e_trial = model.value(candidate) if au is None else model.value(candidate, au)
         if e_trial - c_ref <= params.eta * t * g:
             return (
                 StepDecision(

@@ -10,9 +10,10 @@ def random_stiefel(n, p, seed):
     return StiefelPoint(q)
 
 
-def random_tangent(point, seed):
+def random_tangent(u, seed):
+    """A random tangent at the frame `u`, as an array."""
     rng = np.random.default_rng(seed)
-    return project_tangent(point, rng.standard_normal(point.shape))
+    return project_tangent(u, rng.standard_normal(u.shape))
 
 
 class Delegate(EnergyModel):

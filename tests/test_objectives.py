@@ -10,7 +10,6 @@ from grassopt import (
     QuadraticTraceModel,
     ShapeMismatch,
     StiefelPoint,
-    TangentVector,
     TraceDensityModel,
     eigen_oracle,
     grassmann_gradient,
@@ -103,6 +102,26 @@ class TestConstruction:
         # well is centered: potential symmetric about the midpoint
         npt.assert_allclose(model.v, model.v[::-1], atol=1e-12)
 
+    @pytest.mark.parametrize("npts", [1, 2, 128])
+    def test_harmonic_lattice_laplacian_bits(self, npts):
+        """The Laplacian is built in place with the bits of the dense formula."""
+        h = harmonic_lattice(npts).h
+        dense = (
+            np.diag(np.full(npts, 2.0))
+            - np.diag(np.ones(npts - 1), 1)
+            - np.diag(np.ones(npts - 1), -1)
+        ) / h**2
+        assert harmonic_lattice(npts).a.tobytes() == dense.tobytes()
+
+    def test_matrix_is_symmetrized_into_a_read_only_copy(self):
+        a = random_symmetric(6, 3)
+        a[0, 1] += 1e-12  # within the symmetry tolerance
+        before = a.copy()
+        model = QuadraticTraceModel(a)
+        npt.assert_array_equal(a, before)
+        assert a.flags.writeable and not model.a.flags.writeable
+        assert model.a.tobytes() == (0.5 * (before + before.T)).tobytes()
+
     def test_identity_equality_and_hash(self):
         model = harmonic_lattice(4)
         copy = harmonic_lattice(4)  # equal-valued, a different model
@@ -124,7 +143,7 @@ class TestValuesAndGradients:
         u = random_stiefel(model.npts, 3, 0).u
         assert bare.value(u) == pytest.approx(quad.value(u), rel=1e-14)
         npt.assert_allclose(bare.euclidean_gradient(u), quad.euclidean_gradient(u))
-        d = random_tangent(random_stiefel(model.npts, 3, 0), 1).d
+        d = random_tangent(u, 1)
         npt.assert_allclose(bare.hessian_apply(u, d), quad.hessian_apply(u, d))
 
     def test_lattice_pure_interaction_gradient(self):
@@ -164,8 +183,8 @@ class TestValuesAndGradients:
     def test_hessian_symmetry(self):
         model = small_lattice()
         point = random_stiefel(model.npts, 3, 5)
-        d1 = random_tangent(point, 6).d
-        d2 = random_tangent(point, 7).d
+        d1 = random_tangent(point.u, 6)
+        d2 = random_tangent(point.u, 7)
         lhs = float(np.sum(model.hessian_apply(point.u, d1) * d2))
         rhs = float(np.sum(model.hessian_apply(point.u, d2) * d1))
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
@@ -193,7 +212,7 @@ class TestSuppliedProducts:
         model = make()
         for seed in range(5):
             point = random_stiefel(model.a.shape[0], 2, seed)
-            u, d = point.u, random_tangent(point, seed + 10).d
+            u, d = point.u, random_tangent(point.u, seed + 10)
             au = model.apply_operator(u)
             npt.assert_array_equal(au, model.a @ u)
             energy, egrad = model.evaluate(u, au)
@@ -295,44 +314,44 @@ class TestGrassmannCalculus:
             assert np.linalg.norm(point.u.T @ grad.d) <= 1e-10
 
     def test_qform_zero_direction(self):
-        point = random_stiefel(10, 2, 40)
-        zero = TangentVector(np.zeros(point.shape), point)
-        assert grassmann_hessian_qform(DIAG123 if point.shape[0] == 3 else QuadraticTraceModel(random_symmetric(10, 1)), point, zero) == 0.0
+        u = random_stiefel(10, 2, 40).u
+        model = QuadraticTraceModel(random_symmetric(10, 1))
+        assert grassmann_hessian_qform(model, u, np.zeros(u.shape)) == 0.0
 
     def test_qform_explicit_small_case(self):
-        d = TangentVector(np.array([[0.0], [1.0], [0.0]]), E1)
-        assert grassmann_hessian_qform(DIAG123, E1, d) == pytest.approx(1.0)
+        d = np.array([[0.0], [1.0], [0.0]])
+        assert grassmann_hessian_qform(DIAG123, E1.u, d) == pytest.approx(1.0)
 
     def test_qform_quadratic_scaling(self):
         model = small_lattice()
-        point = random_stiefel(model.npts, 2, 41)
-        d = random_tangent(point, 42)
-        base = grassmann_hessian_qform(model, point, d)
-        assert grassmann_hessian_qform(model, point, d.scaled(3.0)) == pytest.approx(
+        u = random_stiefel(model.npts, 2, 41).u
+        d = random_tangent(u, 42)
+        base = grassmann_hessian_qform(model, u, d)
+        assert grassmann_hessian_qform(model, u, 3.0 * d) == pytest.approx(
             9.0 * base, rel=1e-12
         )
 
     def test_qform_matches_geodesic_second_difference(self):
         model = small_lattice()
-        point = random_stiefel(model.npts, 3, 43)
-        d = random_tangent(point, 44)
-        qform = grassmann_hessian_qform(model, point, d)
+        u = random_stiefel(model.npts, 3, 43).u
+        d = random_tangent(u, 44)
+        qform = grassmann_hessian_qform(model, u, d)
         eps = 1e-4
-        plus = model.value(retract_geodesic(point, d, eps).u)
-        minus = model.value(retract_geodesic(point, d, -eps).u)
-        fd = (plus - 2.0 * model.value(point.u) + minus) / eps**2
+        plus = model.value(retract_geodesic(u, d, eps))
+        minus = model.value(retract_geodesic(u, d, -eps))
+        fd = (plus - 2.0 * model.value(u) + minus) / eps**2
         assert abs(fd - qform) <= 1e-4 * (1.0 + abs(qform))
 
     def test_taylor_third_order(self):
         model = small_lattice()
         point = random_stiefel(model.npts, 2, 45)
-        d = random_tangent(point, 46)
+        d = random_tangent(point.u, 46)
         e0 = model.value(point.u)
-        g = float(np.sum(grassmann_gradient(model, point).d * d.d))
-        q = grassmann_hessian_qform(model, point, d)
+        g = float(np.sum(grassmann_gradient(model, point).d * d))
+        q = grassmann_hessian_qform(model, point.u, d)
 
         def remainder(t):
-            e_t = model.value(retract_geodesic(point, d, t).u)
+            e_t = model.value(retract_geodesic(point.u, d, t))
             return abs(e_t - e0 - t * g - 0.5 * t**2 * q)
 
         # third-order remainder: 10x smaller t gives ~1000x smaller defect

@@ -12,7 +12,6 @@ from grassopt import (
     SolveConfig,
     Status,
     StiefelPoint,
-    TangentVector,
     cg_direction,
     eigen_oracle,
     grassmann_gradient,
@@ -20,11 +19,9 @@ from grassopt import (
     project_tangent,
     random_symmetric,
     solve,
-    steepest_direction,
 )
 from grassopt import search
 from grassopt.linalg import LinalgError
-from grassopt.manifold import _trusted_point
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
 
@@ -72,27 +69,38 @@ class TestConfig:
         assert solve(DIAG123, MIX13, config).iters == 3
 
 
-class TestDirections:
-    def test_steepest_is_negated_gradient(self):
-        point = random_stiefel(8, 2, 0)
-        g = random_tangent(point, 1)
-        d = steepest_direction(g)
-        npt.assert_array_equal(d.d, -g.d)
-        assert float(np.sum(g.d * d.d)) == pytest.approx(-g.norm**2)
+def cg_at(u, g, iter_index):
+    """cg_direction with g as both the new and the old gradient and -g as
+    the old direction."""
+    norm = float(np.linalg.norm(g))
+    return cg_direction(g, g, -g, u, iter_index, 50, norm, norm)
 
+
+class TestDirections:
     def test_cg_forced_restart(self):
-        point = random_stiefel(8, 2, 2)
-        g = random_tangent(point, 3)
-        d, was_reset = cg_direction(g, g, -g, point, 50, 50)
+        u = random_stiefel(8, 2, 2).u
+        g = random_tangent(u, 3)
+        d, d_norm, was_reset = cg_at(u, g, 50)
         assert was_reset
-        npt.assert_array_equal(d.d, -g.d)
+        npt.assert_array_equal(d, -g)
+        assert d_norm == np.linalg.norm(g)
 
     def test_cg_repeated_gradient_gives_steepest(self):
-        point = random_stiefel(8, 2, 4)
-        g = random_tangent(point, 5)
-        d, was_reset = cg_direction(g, g, -g, point, 3, 50)
+        u = random_stiefel(8, 2, 4).u
+        g = random_tangent(u, 5)
+        d, d_norm, was_reset = cg_at(u, g, 3)
         # beta = 0 for identical gradients (PR+), so D = -G
-        npt.assert_allclose(d.d, -g.d, atol=1e-14)
+        npt.assert_allclose(d, -g, atol=1e-14)
+        assert d_norm == np.linalg.norm(d)
+
+    def test_cg_non_finite_direction_resets(self):
+        u = random_stiefel(8, 2, 6).u
+        g = random_tangent(u, 7)
+        norm = float(np.linalg.norm(g))
+        d_old = np.full(u.shape, np.nan)
+        d, d_norm, was_reset = cg_direction(g, 0.5 * g, d_old, u, 3, 50, norm, 0.5 * norm)
+        assert was_reset
+        npt.assert_array_equal(d, -g)
 
     def test_cg_descent_across_solve(self):
         model = QuadraticTraceModel(random_symmetric(20, seed=9))
@@ -298,9 +306,10 @@ class CarriedLog(Delegate):
 def assert_exact_report(model, result):
     """The reported energy and residual are those of a fresh evaluation of
     the reported frame."""
-    energy, egrad = model.evaluate(result.final_point.u)
+    u = result.final_point.u
+    energy, egrad = model.evaluate(u)
     assert result.final_energy == energy
-    assert result.final_residual == project_tangent(result.final_point, egrad).norm
+    assert result.final_residual == np.linalg.norm(project_tangent(u, egrad))
 
 
 class TestCarriedProduct:
@@ -411,10 +420,12 @@ class TestBacktrackingProduct:
         )
 
 
-def nudged(point):
-    """`point` scaled off the manifold, built unchecked as the solver builds
-    its frames, so no constructor notices."""
-    return _trusted_point((1.0 + 1e-9) * point.u)
+def nudged(u):
+    """The frame `u` scaled off the manifold, read-only as the retractions
+    return their frames; no constructor sees it."""
+    out = (1.0 + 1e-9) * u
+    out.setflags(write=False)
+    return out
 
 
 class TestOrthonormalityChecks:
@@ -427,8 +438,8 @@ class TestOrthonormalityChecks:
     def test_defect_fails_carried_solve_at_refresh(self, monkeypatch):
         retract = search.retract_qr_factors
 
-        def off_manifold(point, tangent, t):
-            new, r_inv = retract(point, tangent, t)
+        def off_manifold(u, d, t):
+            new, r_inv = retract(u, d, t)
             return nudged(new), r_inv
 
         monkeypatch.setattr(search, "retract_qr_factors", off_manifold)
@@ -508,6 +519,82 @@ class TestExitRule:
         assert_exact_report(self.model, result)
         assert result.total_energy_evals == result.iters + 1
         assert result.total_retraction_evals == result.iters
+
+
+class ReadOnlyCheck(CarriedLog):
+    """Fails on any frame or direction handed to the model that the model
+    could write to."""
+
+    @staticmethod
+    def check(*arrays):
+        for a in arrays:
+            assert not a.flags.writeable
+
+    def apply_operator(self, x):
+        self.check(x)
+        return super().apply_operator(x)
+
+    def value(self, u, au=None):
+        self.check(u)
+        return super().value(u, au)
+
+    def euclidean_gradient(self, u):
+        self.check(u)
+        return super().euclidean_gradient(u)
+
+    def evaluate(self, u, au=None):
+        self.check(u)
+        return super().evaluate(u, au)
+
+    def hessian_apply(self, u, d, ad=None):
+        self.check(u, d)
+        return super().hessian_apply(u, d, ad)
+
+
+class TestArraySeam:
+    """Inside `solve` frames and directions are plain arrays: read-only when
+    the model sees them, and retracted through the module's retractions."""
+
+    COMBOS = [
+        (strategy, retraction, direction)
+        for strategy in ("adaptive", "backtracking", "none")
+        for retraction in ("qr", "geodesic")
+        for direction in ("steepest", "cg_restart")
+    ]
+
+    @pytest.mark.parametrize("strategy, retraction, direction", COMBOS)
+    def test_model_sees_read_only_frames_and_directions(self, strategy, retraction, direction):
+        model = ReadOnlyCheck(harmonic_lattice(24, length=6.0, gamma=1.0))
+        config = SolveConfig(
+            epsilon=1e-14, max_iter=CARRY_REFRESH + 5, strategy=strategy,
+            retraction=retraction, direction=direction,
+        )
+        result = solve(model, random_stiefel(24, 3, 5), config)
+        assert result.status is Status.MAX_ITERATIONS
+        assert not result.final_point.u.flags.writeable
+
+    @pytest.mark.parametrize("strategy, retraction, direction", COMBOS)
+    def test_retractions_called_once_per_counted_retraction(
+        self, monkeypatch, strategy, retraction, direction
+    ):
+        calls = []
+        for name in ("retract_qr", "retract_geodesic"):
+            original = getattr(search, name)
+
+            def counted(u, d, t, original=original, name=name):
+                calls.append(name)
+                return original(u, d, t)
+
+            monkeypatch.setattr(search, name, counted)
+        # without apply_operator no solve carries A U
+        model = Delegate(QuadraticTraceModel(random_symmetric(20, seed=3)))
+        config = SolveConfig(
+            epsilon=1e-14, max_iter=30, strategy=strategy,
+            retraction=retraction, direction=direction,
+        )
+        result = solve(model, random_stiefel(20, 3, 4), config)
+        assert result.iters == 30
+        assert calls == [f"retract_{retraction}"] * result.total_retraction_evals
 
 
 class TestLatticeSolve:

@@ -12,7 +12,6 @@ from grassopt import (
     QuadraticTraceModel,
     StepParams,
     StiefelPoint,
-    TangentVector,
     adaptive_step,
     backtracking_step,
     bb_initial,
@@ -250,45 +249,43 @@ class TestAdaptiveStep:
 class TestBacktrackingStep:
     def setup_method(self):
         self.model = QuadraticTraceModel(np.diag([1.0, 100.0]))
-        self.point = StiefelPoint(
-            np.array([[np.cos(0.3)], [np.sin(0.3)]])
-        )
-        grad = self.model.euclidean_gradient(self.point.u)
-        d = grad - self.point.u @ (self.point.u.T @ grad)
-        self.tangent = TangentVector(-d, self.point)
+        self.u = StiefelPoint(np.array([[np.cos(0.3)], [np.sin(0.3)]])).u
+        grad = self.model.euclidean_gradient(self.u)
+        d = grad - self.u @ (self.u.T @ grad)
+        self.d = -d
         self.g = -float(np.sum(d * d))
-        self.c = self.model.value(self.point.u)
+        self.c = self.model.value(self.u)
 
     def test_small_initial_accepted(self):
         params = StepParams()
         decision, candidate, au = backtracking_step(
-            self.model, self.point, self.tangent, 1e-6, params, self.c, retract_qr, g=self.g
+            self.model, self.u, self.d, 1e-6, params, self.c, retract_qr, g=self.g
         )
-        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
+        np.testing.assert_array_equal(au, self.model.a @ candidate)
         assert decision.backtracks == 0 and decision.initial_accepted
         assert decision.t == 1e-6
         assert (
-            self.model.value(candidate.u) - self.c
+            self.model.value(candidate) - self.c
             <= params.eta * decision.t * self.g + 1e-15
         )
 
     def test_large_initial_shrinks(self):
         params = StepParams()
         decision, candidate, au = backtracking_step(
-            self.model, self.point, self.tangent, 10.0, params, self.c, retract_qr, g=self.g
+            self.model, self.u, self.d, 10.0, params, self.c, retract_qr, g=self.g
         )
-        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
+        np.testing.assert_array_equal(au, self.model.a @ candidate)
         # a model without apply_operator takes the same steps and returns no product
         wrapped = Delegate(self.model)
         exact = backtracking_step(
-            wrapped, self.point, self.tangent, 10.0, params, self.c, retract_qr, g=self.g
+            wrapped, self.u, self.d, 10.0, params, self.c, retract_qr, g=self.g
         )
         assert exact[0] == decision and exact[2] is None
-        assert exact[1].u.tobytes() == candidate.u.tobytes()
+        assert exact[1].tobytes() == candidate.tobytes()
         assert decision.backtracks > 0 and not decision.initial_accepted
         assert decision.t == pytest.approx(10.0 * params.k**decision.backtracks)
         assert (
-            self.model.value(candidate.u) - self.c
+            self.model.value(candidate) - self.c
             <= params.eta * decision.t * self.g + 1e-15
         )
 
@@ -298,8 +295,8 @@ class TestBacktrackingStep:
         params = StepParams(k=0.5)
 
         def probe(t):
-            candidate = retract_qr(self.point, self.tangent, t)
-            return self.model.value(candidate.u) - self.c <= params.eta * t * self.g
+            candidate = retract_qr(self.u, self.d, t)
+            return self.model.value(candidate) - self.c <= params.eta * t * self.g
 
         # halve from a rejected step until the first acceptable one, then
         # start two halvings earlier so the third trial is the acceptor
@@ -313,9 +310,9 @@ class TestBacktrackingStep:
         t0 = t / params.k**2
         assert not probe(t0) and not probe(t0 * params.k) and probe(t0 * params.k**2)
         decision, candidate, au = backtracking_step(
-            self.model, self.point, self.tangent, t0, params, self.c, retract_qr, g=self.g
+            self.model, self.u, self.d, t0, params, self.c, retract_qr, g=self.g
         )
-        np.testing.assert_array_equal(au, self.model.a @ candidate.u)
+        np.testing.assert_array_equal(au, self.model.a @ candidate)
         assert decision.backtracks == 2
         assert decision.t == pytest.approx(t0 / 4.0)
 
@@ -327,15 +324,15 @@ class TestBacktrackingStep:
         hostile = Hostile(self.model)
         with pytest.raises(MaxBacktracks):
             backtracking_step(
-                hostile, self.point, self.tangent, 1.0, StepParams(), self.c, retract_qr, g=self.g
+                hostile, self.u, self.d, 1.0, StepParams(), self.c, retract_qr, g=self.g
             )
 
     def test_rejects_non_descent(self):
         with pytest.raises(NonDescentDirection):
             backtracking_step(
                 self.model,
-                self.point,
-                -self.tangent,
+                self.u,
+                -self.d,
                 1.0,
                 StepParams(),
                 self.c,
