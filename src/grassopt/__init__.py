@@ -54,6 +54,7 @@ from .stepsize import (
     improve_step,
     initial_nm_state,
     nm_update,
+    unjudged_step,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from collections import Counter
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .search import (
     DIRECTIONS,
     RETRACTIONS,
     STRATEGIES,
+    IterationRecord,
     SolveConfig,
     SolveResult,
     Status,
@@ -41,26 +43,14 @@ from .search import (
 )
 from .stepsize import BB_MODES, StepParams
 
-TRACE_COLUMNS = (
-    "iter",
-    "energy",
-    "residual",
-    "step",
-    "backtracks",
-    "estimator",
-    "direction_reset",
-    "initial_accepted",
-    "clamp_reason",
-    "elapsed_s",
+# the trace is IterationRecord's fields, in order; `elapsed` is in seconds
+TRACE_COLUMNS = tuple(
+    "elapsed_s" if f.name == "elapsed" else f.name for f in fields(IterationRecord)
 )
 
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17e}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +190,18 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
 
 def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     """Write `rows` (dicts keyed by `columns`) as a CSV table with a header
-    or as a JSON list of objects."""
+    or as a JSON list of objects.  Floats are written as `.17e` (18
+    significant digits), so they round-trip exactly; flags as 0 or 1, and
+    None as empty."""
+
+    def _cell(value):
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, float):
+            return f"{value:.17e}"
+        return "" if value is None else value
+
+    rows = [{key: _cell(value) for key, value in row.items()} for row in rows]
     if fmt == "json":
         path.write_text(json.dumps(rows, indent=1))
         return
@@ -252,21 +253,7 @@ def cmd_run(args) -> int:
     wallclock = time.perf_counter() - tic
 
     out = Path(args.out or f"trace_{args.problem}_{args.strategy}.{args.format}")
-    rows = [
-        {
-            "iter": rec.iter,
-            "energy": _fmt(rec.energy),
-            "residual": _fmt(rec.residual),
-            "step": _fmt(rec.step),
-            "backtracks": rec.backtracks,
-            "estimator": "" if rec.estimator is None else _fmt(rec.estimator),
-            "direction_reset": int(rec.direction_reset),
-            "initial_accepted": int(rec.initial_accepted),
-            "clamp_reason": rec.clamp_reason,
-            "elapsed_s": _fmt(rec.elapsed),
-        }
-        for rec in result.trace
-    ]
+    rows = [dict(zip(TRACE_COLUMNS, astuple(rec))) for rec in result.trace]
     _write_table(out, args.format, TRACE_COLUMNS, rows)
     summary = summary_dict(result, wallclock)
     summary_path = out.with_suffix(out.suffix + ".summary.json")
@@ -336,9 +323,6 @@ def cmd_compare(args) -> int:
             f"evals={row['energy_evals']}/{row['retraction_evals']} {row['flagged']}"
         )
 
-    for row in rows:
-        for key in ("energy", "final_residual", "wct_s", "atpi_s"):
-            row[key] = _fmt(row[key])
     out = Path(args.out or f"compare_{args.problem}.{args.format}")
     _write_table(out, args.format, COMPARE_COLUMNS, rows)
     return 1 if 1 in codes else max(codes)

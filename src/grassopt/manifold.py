@@ -88,7 +88,9 @@ def project_tangent(u: np.ndarray, g) -> np.ndarray:
     if gm.shape != u.shape:
         raise ShapeMismatch(f"shape {gm.shape} != frame shape {u.shape}")
     d = gm - u @ (u.T @ gm)
-    # kill first-order roundoff so the tangency invariant holds exactly
+    # Project twice: one pass leaves U^T D at roundoff times ||G||, and the
+    # geodesic retraction, which does not re-orthonormalize, needs U^T D = 0
+    # to roundoff in D's own scale, or its frames drift off the manifold.
     return d - u @ (u.T @ d)
 
 

@@ -1,9 +1,10 @@
 """Generic line-search loop on the Grassmann manifold.
 
 Pluggable direction providers (steepest descent, restarted PR+ conjugate
-gradient) and step strategies (adaptive, backtracking, none).  The loop
-keeps exact counters of energy and retraction evaluations, including those
-spent inside backtracking trials.
+gradient) and step strategies (adaptive, backtracking, none), whose steps
+are all decided in `stepsize`.  The loop keeps exact counters of energy
+and retraction evaluations, including those spent inside backtracking
+trials, and one IterationRecord per step, which is the CLI's trace row.
 
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
@@ -113,6 +114,8 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One step's record; its fields, in order, are the CLI's trace columns."""
+
     iter: int
     energy: float
     residual: float
@@ -294,15 +297,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 )
                 energy_evals += decision.backtracks + 1  # one per trial
             else:  # strategy == "none": accept the initial guess unjudged
-                t = max(t_initial, params.t_min)
-                decision = ss.StepDecision(
-                    t=t,
-                    initial_accepted=True,
-                    estimator=None,
-                    clamp_reason="none",
-                    backtracks=0,
-                )
-                next_u = retraction(u, direction, t)
+                decision = ss.unjudged_step(t_initial, params)
+                next_u = retraction(u, direction, decision.t)
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
             if isinstance(exc, ss.MaxBacktracks):
                 energy_evals += ss.MAX_BACKTRACKS + 1  # every trial was evaluated

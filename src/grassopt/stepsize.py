@@ -1,10 +1,9 @@
-"""Step-size machinery: non-monotone reference recursion, BB initial steps,
-Armijo-type backtracking and the adaptive Estimate -> Judge -> Improve
-strategy.
-
-All quantities are scalars except backtracking, which needs the model and a
-retraction because each trial costs one retraction plus one energy
-evaluation.  The adaptive path never touches either.
+"""Step-size machinery: non-monotone reference recursion, BB initial steps
+and every strategy's step decision.  Each starts from the initial step
+raised to the floor t_min (`floored_step`): `none` takes it unjudged, the
+adaptive Estimate -> Judge -> Improve step clamps it to the trust radius and
+judges it from the local quadratic model alone, and Armijo-type backtracking
+shrinks it, at one retraction plus one energy evaluation per trial.
 """
 
 from __future__ import annotations
@@ -154,6 +153,21 @@ def improve_step(g: float, hq: float, theta: float, norm_d: float) -> float:
     return trust
 
 
+def floored_step(t_initial: float, t_min: float) -> tuple[float, str]:
+    """The initial step raised to the floor t_min, with its clamp reason
+    (`floor` if raised, else `none`)."""
+    t = max(t_initial, t_min)
+    return t, ("floor" if t > t_initial else "none")
+
+
+def unjudged_step(t_initial: float, params: StepParams) -> StepDecision:
+    """Strategy `none`: take the floored initial step as it is."""
+    t, reason = floored_step(t_initial, params.t_min)
+    return StepDecision(
+        t=t, initial_accepted=True, estimator=None, clamp_reason=reason, backtracks=0
+    )
+
+
 def adaptive_step(
     e: float,
     c: float,
@@ -164,31 +178,25 @@ def adaptive_step(
     norm_d: float,
 ) -> StepDecision:
     """Estimate -> Judge -> Improve.  Costs no energy or retraction
-    evaluations: the decision is made from the local quadratic model alone."""
-    if g >= 0.0:
-        raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
+    evaluations: the decision is made from the local quadratic model alone.
+    Raises NonDescentDirection (from the estimator) if g >= 0."""
     if norm_d <= 0.0:
         raise ValueError("||D|| must be positive")
     trust = params.theta / norm_d
-    floored = max(t_initial, params.t_min)
-    t = min(floored, trust)
-    reason = "none"
-    if floored > t_initial:
-        reason = "floor"
-    if t < floored:
-        reason = "trust_radius"
+    t, reason = floored_step(t_initial, params.t_min)
+    if t > trust:
+        t, reason = trust, "trust_radius"
     zeta = estimator_zeta(e, c, g, hq, t)
     if zeta >= params.eta:
         return StepDecision(
             t=t, initial_accepted=True, estimator=zeta, clamp_reason=reason, backtracks=0
         )
     improved = improve_step(g, hq, params.theta, norm_d)
-    reason = "curvature_minimizer" if (hq > 0.0 and -g / hq < trust) else "trust_radius"
     return StepDecision(
         t=improved,
         initial_accepted=False,
         estimator=zeta,
-        clamp_reason=reason,
+        clamp_reason="trust_radius" if improved == trust else "curvature_minimizer",
         backtracks=0,
     )
 
@@ -220,8 +228,7 @@ def backtracking_step(
     if g >= 0.0:
         raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
     operator = getattr(model, "apply_operator", None)
-    t = max(t_initial, params.t_min)
-    reason = "floor" if t > t_initial else "none"
+    t, reason = floored_step(t_initial, params.t_min)
     for count in range(MAX_BACKTRACKS + 1):
         candidate = retraction(u, d, t)
         au = None if operator is None else operator(candidate)

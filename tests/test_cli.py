@@ -17,8 +17,27 @@ from grassopt.cli import (
 from grassopt.search import DIRECTIONS, RETRACTIONS
 
 
+# The headers are derived in code; these literals pin the files users read.
+TRACE_HEADER = (
+    "iter,energy,residual,step,backtracks,estimator,direction_reset,"
+    "initial_accepted,clamp_reason,elapsed_s"
+)
+COMPARE_HEADER = (
+    "strategy,energy,iter,final_residual,wct_s,atpi_s,energy_evals,"
+    "retraction_evals,status,bb_mode,flagged"
+)
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def is_full_precision(cell):
+    """A float cell written as `.17e` (18 significant digits), which round-trips."""
+    try:
+        return f"{float(cell):.17e}" == cell
+    except (TypeError, ValueError):
+        return False
 
 
 def strip_elapsed(path):
@@ -90,6 +109,17 @@ class TestRun:
         summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
         assert summary["clamp_reasons"] == dict(reasons)
         assert sum(summary["clamp_reasons"].values()) == summary["iters"]
+
+    def test_floored_none_step_reports_floor(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "16", "--p", "2",
+            "--strategy", "none", "--first-step", "1e-30", "--out", str(out),
+        ) == 0
+        first = read_trace(out)[0]
+        assert float(first["step"]) == 1e-20
+        assert first["clamp_reason"] == "floor"
+        assert first["initial_accepted"] == "1"
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -187,6 +217,70 @@ class TestRun:
         assert run_cli("run", "--n", "10", "--p", "1", "--eps", "nan", "--out", str(out)) == 1
         assert "error: epsilon must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFileFormats:
+    """Headers and cells of the written files: floats as `.17e`, flags as 0
+    or 1, None as an empty cell."""
+
+    def test_trace_header(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", "--n", "20", "--p", "2", "--eps", "1e-8", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0] == TRACE_HEADER
+        assert ",".join(TRACE_COLUMNS) == TRACE_HEADER
+
+    def test_compare_header(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run_cli(
+            "compare", "--n", "20", "--p", "2", "--eps", "1e-8",
+            "--strategy", "adaptive", "--out", str(out),
+        ) == 0
+        assert out.read_text().splitlines()[0] == COMPARE_HEADER
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_cells(self, tmp_path, fmt):
+        rows = {}
+        for strategy in ("adaptive", "backtracking"):
+            out = tmp_path / f"{strategy}.{fmt}"
+            assert run_cli(
+                "run", "--problem", "lattice", "--npts", "32", "--p", "2", "--seed", "4",
+                "--eps", "1e-8", "--direction", "cg_restart", "--strategy", strategy,
+                "--format", fmt, "--out", str(out),
+            ) == 0
+            rows[strategy] = read_trace(out) if fmt == "csv" else json.loads(out.read_text())
+        flags = {"0", "1"} if fmt == "csv" else {0, 1}
+        for strategy, trace in rows.items():
+            for row in trace:
+                assert [key for key, cell in row.items() if is_full_precision(cell)] == (
+                    ["energy", "residual", "step"]
+                    + (["estimator"] if strategy == "adaptive" else [])
+                    + ["elapsed_s"]
+                )
+                for key in ("direction_reset", "initial_accepted"):
+                    assert row[key] in flags and not isinstance(row[key], bool)
+            # a CG restart and a plain step: both flag values occur
+            assert {row["direction_reset"] for row in trace} == flags
+        # backtracking has no estimate: None is written as an empty cell
+        assert all(row["estimator"] == "" for row in rows["backtracking"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_cells(self, tmp_path, fmt):
+        out = tmp_path / f"cmp.{fmt}"
+        assert run_cli(
+            "compare", "--n", "20", "--p", "2", "--eps", "1e-8",
+            "--strategy", "adaptive", "--format", fmt, "--out", str(out),
+        ) == 0
+        if fmt == "csv":
+            with open(out, newline="") as fh:
+                (row,) = csv.DictReader(fh)
+        else:
+            (row,) = json.loads(out.read_text())
+        floats = ("energy", "final_residual", "wct_s", "atpi_s")
+        assert all(is_full_precision(row[key]) for key in floats)
+        assert row["flagged"] == "" and row["status"] == "converged"
+        if fmt == "json":
+            counts = ("iter", "energy_evals", "retraction_evals")
+            assert all(type(row[key]) is int for key in counts)
 
 
 class TestConfigFile:

@@ -8,11 +8,15 @@ from grassopt import (
     ConvergenceFailure,
     RankDeficient,
     ShapeMismatch,
+    SolveConfig,
+    Status,
     StiefelPoint,
     TangentVector,
+    harmonic_lattice,
     project_tangent,
     retract_geodesic,
     retract_qr,
+    solve,
 )
 from grassopt.linalg import thin_qr
 from grassopt.manifold import CHOLESKY_QR_MAX_STEP, ORTHO_TOL, ortho_defect, retract_qr_factors
@@ -73,6 +77,18 @@ class TestProjectTangent:
         once = project_tangent(u, g)
         twice = project_tangent(u, once)
         npt.assert_allclose(twice, once, atol=1e-13)
+
+    def test_second_projection_keeps_geodesic_cg_on_the_manifold(self):
+        """The geodesic retraction does not re-orthonormalize, so it needs
+        directions tangent to roundoff.  With one projection this solve stops
+        at the iteration cap with an orthonormality defect near 1e2."""
+        config = SolveConfig(
+            epsilon=1e-8, max_iter=5000, strategy="adaptive",
+            direction="cg_restart", retraction="geodesic",
+        )
+        result = solve(harmonic_lattice(128, gamma=1.0), random_stiefel(128, 4, 0), config)
+        assert result.status is Status.CONVERGED
+        assert ortho_defect(result.final_point.u) <= 1e-12
 
 
 class TestRetractions:

@@ -156,6 +156,14 @@ class TestSolveBasics:
         assert result.status is Status.CONVERGED
         assert result.final_energy == pytest.approx(0.5, abs=1e-7)
 
+    def test_floored_none_step_reports_floor(self):
+        """An unjudged step raised to t_min is named `floor`, as a judged one is."""
+        config = SolveConfig(epsilon=1e-8, strategy="none", first_step=1e-30, max_iter=1)
+        first = solve(DIAG123, MIX13, config).trace[0]
+        assert first.step == config.step_params.t_min
+        assert first.clamp_reason == "floor"
+        assert first.initial_accepted
+
 
 class TestTrajectoryInvariants:
     def make_result(self, strategy, retraction="qr"):

@@ -10,6 +10,7 @@ from grassopt import (
     NonDescentDirection,
     NonMonotoneState,
     QuadraticTraceModel,
+    StepDecision,
     StepParams,
     StiefelPoint,
     adaptive_step,
@@ -22,6 +23,7 @@ from grassopt import (
     initial_nm_state,
     nm_update,
     retract_qr,
+    unjudged_step,
 )
 from grassopt.checks import run_suite
 from grassopt.stepsize import DegenerateDenominator
@@ -241,9 +243,33 @@ class TestAdaptiveStep:
         assert decision.t == pytest.approx(0.1)
         assert decision.clamp_reason == "trust_radius"
 
+    def test_rejected_initial_improved_to_trust_radius(self):
+        # negative curvature: zeta(0.2) = (1 - 0.2 - 0.02) / -0.2 < eta, and
+        # the model has no minimizer, so the improved step is the trust radius
+        params = StepParams(theta=0.2)
+        decision = adaptive_step(2.0, 1.0, -1.0, -1.0, 5.0, params, 1.0)
+        assert not decision.initial_accepted
+        assert decision.t == 0.2
+        assert decision.clamp_reason == "trust_radius"
+
     def test_rejects_non_descent(self):
         with pytest.raises(NonDescentDirection):
             adaptive_step(1.0, 1.0, 1.0, 2.0, 0.3, StepParams(), 1.0)
+
+
+class TestUnjudgedStep:
+    def test_initial_taken(self):
+        decision = unjudged_step(0.3, StepParams())
+        assert decision == StepDecision(
+            t=0.3, initial_accepted=True, estimator=None, clamp_reason="none", backtracks=0
+        )
+
+    def test_floor_applied(self):
+        params = StepParams()
+        decision = unjudged_step(1e-30, params)
+        assert decision.t == params.t_min
+        assert decision.initial_accepted
+        assert decision.clamp_reason == "floor"
 
 
 class TestBacktrackingStep:
