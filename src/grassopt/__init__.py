@@ -19,6 +19,7 @@ from .manifold import (
     retract_qr,
 )
 from .objectives import (
+    DirichletLaplacian,
     EnergyModel,
     NonlinearLatticeModel,
     QuadraticTraceModel,

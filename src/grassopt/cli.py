@@ -166,7 +166,7 @@ def build_model(args) -> EnergyModel:
 
 
 def build_start(args, model: EnergyModel) -> StiefelPoint:
-    n = model.a.shape[0]
+    n = model.npts
     rng = np.random.default_rng(args.seed)
     q, _ = thin_qr(rng.standard_normal((n, args.p)))
     return StiefelPoint(q)

@@ -12,7 +12,7 @@ import abc
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -54,17 +54,70 @@ class EnergyModel(abc.ABC):
         return self.value(u), self.euclidean_gradient(u)
 
 
+def _is_count(value) -> bool:
+    """Whether `value` is an integer >= 1 (and not a bool)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+@dataclass(frozen=True)
+class DirichletLaplacian:
+    """The three-point Laplacian on `npts` interior grid points of mesh
+    width h, with zero Dirichlet values beyond both ends:
+    (A x)_r = (2 x_r - x_{r-1} - x_{r+1}) / h^2.
+
+    It stores no matrix, so its product and its kinetic energy cost
+    O(npts * p) time and memory for an npts-by-p block.
+    """
+
+    npts: int
+    h: float
+
+    def __post_init__(self):
+        if not _is_count(self.npts):
+            raise ValueError(f"npts must be an integer >= 1, got {self.npts!r}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"mesh width h must be finite and positive, got {self.h}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.npts, self.npts)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x: the differences first, the scale 1/h^2 last, so that A @ I
+        has the bits of the dense matrix with 2/h^2 on its diagonal and
+        -1/h^2 beside it."""
+        if x.shape[0] != self.npts:
+            raise ShapeMismatch(f"operator of size {self.npts} applied to shape {x.shape}")
+        out = np.multiply(x, 2.0)
+        out[1:] -= x[:-1]
+        out[:-1] -= x[1:]
+        out *= 1.0 / self.h**2
+        return out
+
+    def kinetic_energy(self, u: np.ndarray) -> float:
+        """tr(U^T A U)/2 as ||dU||_F^2 / (2 h^2), where dU is the
+        difference of U with the zero rows beyond its ends.  A sum of
+        squares does not cancel; the sum of U * (A U) loses about four
+        digits on a fine grid."""
+        d = u[1:] - u[:-1]
+        squares = np.vdot(d, d) + np.vdot(u[0], u[0]) + np.vdot(u[-1], u[-1])
+        return 0.5 * (1.0 / self.h**2) * float(squares)
+
+
 @dataclass(frozen=True, eq=False)
 class TraceDensityModel(EnergyModel):
     """E(U) = tr(U^T A U)/2 + h * sum_r [V_r rho_r + (gamma/2) rho_r^2]
     for symmetric A, with the density rho_r = sum_i U_ri^2.
 
-    rho is invariant under U -> U P, so E is orthogonally invariant.  Without
-    a potential V the density terms are absent: E is the trace term alone,
-    minimized by the p lowest eigenvectors of A.  The class is final.
+    A is a dense symmetric matrix or a `DirichletLaplacian`.  The trace
+    term is computed from A U for a dense A, and from the differences of U
+    for the Laplacian.  rho is invariant under U -> U P, so E is
+    orthogonally invariant.  Without a potential V the density terms are
+    absent: E is the trace term alone, minimized by the p lowest
+    eigenvectors of A.  The class is final.
     """
 
-    a: np.ndarray
+    a: Union[np.ndarray, DirichletLaplacian]
     v: Optional[np.ndarray] = None
     h: float = 1.0
     gamma: float = 0.0
@@ -73,11 +126,13 @@ class TraceDensityModel(EnergyModel):
         raise TypeError("TraceDensityModel is final; delegate to it instead of subclassing")
 
     def __post_init__(self):
-        mat = np.asarray(self.a, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix has non-finite entries")
+        stencil = isinstance(self.a, DirichletLaplacian)
+        mat = self.a if stencil else np.asarray(self.a, dtype=float)
+        if not stencil:
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
+            if not np.isfinite(mat).all():
+                raise ValueError("matrix has non-finite entries")
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"mesh width h must be finite and positive, got {self.h}")
         if not 0.0 <= self.gamma < math.inf:
@@ -92,6 +147,8 @@ class TraceDensityModel(EnergyModel):
             object.__setattr__(self, "v", vec)
         elif self.gamma != 0.0:
             raise ValueError("gamma needs a potential v")
+        if stencil:
+            return
         nrm = np.linalg.norm(mat)
         if nrm > 0 and np.linalg.norm(mat - mat.T) > 1e-10 * nrm:
             raise ValueError("matrix not symmetric within 1e-10 relative")
@@ -108,8 +165,6 @@ class TraceDensityModel(EnergyModel):
         return np.sum(u * u, axis=1)
 
     def value(self, u, au=None):
-        if au is None:
-            au = self.a @ u
         return self._energy(u, au, self._rho(u))
 
     def euclidean_gradient(self, u):
@@ -129,7 +184,12 @@ class TraceDensityModel(EnergyModel):
         return None if self.v is None else self.density(u)
 
     def _energy(self, u, au, rho):
-        quad = 0.5 * float(np.sum(u * au))
+        if isinstance(self.a, DirichletLaplacian):
+            quad = self.a.kinetic_energy(u)
+        else:
+            if au is None:
+                au = self.a @ u
+            quad = 0.5 * float(np.sum(u * au))
         if rho is None:
             return quad
         ext = self.h * float(self.v @ rho)
@@ -172,15 +232,12 @@ def harmonic_lattice(
         raise ValueError(f"lattice length must be finite and positive, got {length}")
     if not math.isfinite(well):
         raise ValueError(f"well depth must be finite, got {well}")
+    if not _is_count(npts):  # before h divides by npts + 1
+        raise ValueError(f"npts must be an integer >= 1, got {npts!r}")
     h = length / (npts + 1)
     x = h * np.arange(1, npts + 1)
-    # built in place: the dense temporaries of np.diag would raise peak memory
-    lap = np.zeros((npts, npts))
-    i = np.arange(npts)
-    lap[i, i] = 2.0 / h**2
-    lap[i[:-1], i[1:]] = lap[i[1:], i[:-1]] = -1.0 / h**2
     v = 0.5 * well * (x - 0.5 * length) ** 2
-    return TraceDensityModel(a=lap, v=v, h=h, gamma=gamma)
+    return TraceDensityModel(a=DirichletLaplacian(npts, h), v=v, h=h, gamma=gamma)
 
 
 def random_symmetric(n: int, seed: int) -> np.ndarray:
@@ -242,8 +299,10 @@ def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]
     an integer 1 <= p <= n."""
     if model.v is not None:
         raise ValueError("eigen_oracle needs a model without a potential v")
+    if not isinstance(model.a, np.ndarray):
+        raise ValueError("eigen_oracle needs a dense matrix A, not an operator")
     n = model.a.shape[0]
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 1 <= p <= n:
+    if not (_is_count(p) and p <= n):
         raise ValueError(f"p must be an integer in [1, {n}], got {p!r}")
     evals, evecs = sym_eig(model.a)
     energy = 0.5 * float(np.sum(evals[:p]))

@@ -66,8 +66,8 @@ _CG_GROWTH = 1e3
 # drift of the carried product, ||A U_carried - A U||_F / ||A U||_F, grows
 # about as the square root of the number of carried steps.  With 49 carried
 # steps it stays below CARRY_DRIFT_BOUND on every benchmark workload (at most
-# 1.7e-11, on the stiffest lattice, where an exact product is itself off by
-# 2e-13); a shorter period barely lowers it (6.8e-12 at 10).
+# 3.9e-12, on the stiffest lattice, where an exact stencil product is itself
+# off by 3e-14); a shorter period barely lowers it (1.6e-12 at 10).
 CARRY_REFRESH = 50
 CARRY_DRIFT_BOUND = 5e-11
 

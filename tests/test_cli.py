@@ -130,6 +130,18 @@ class TestRun:
         rows = json.loads(out.read_text())
         assert rows and set(rows[0]) == set(TRACE_COLUMNS)
 
+    def test_lattice_beyond_dense_size(self, tmp_path):
+        """A lattice whose dense matrix would take 80 GB runs as a stencil."""
+        out = tmp_path / "trace.json"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "100000", "--p", "8",
+            "--max-iter", "5", "--format", "json", "--out", str(out),
+        ) == 2
+        rows = json.loads(out.read_text())
+        assert [row["iter"] for row in rows] == [0, 1, 2, 3, 4]
+        summary = json.loads((tmp_path / "trace.json.summary.json").read_text())
+        assert summary["status"] == "max_iterations"
+
     def test_default_name_takes_format_suffix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli("run", "--n", "20", "--p", "2", "--eps", "1e-8", "--format", "json") == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassopt import (
+    DirichletLaplacian,
     EnergyModel,
     NonlinearLatticeModel,
     QuadraticTraceModel,
@@ -104,14 +105,51 @@ class TestConstruction:
 
     @pytest.mark.parametrize("npts", [1, 2, 128])
     def test_harmonic_lattice_laplacian_bits(self, npts):
-        """The Laplacian is built in place with the bits of the dense formula."""
+        """The stencil applied to the identity has the bits of the dense formula."""
         h = harmonic_lattice(npts).h
         dense = (
             np.diag(np.full(npts, 2.0))
             - np.diag(np.ones(npts - 1), 1)
             - np.diag(np.ones(npts - 1), -1)
         ) / h**2
-        assert harmonic_lattice(npts).a.tobytes() == dense.tobytes()
+        assert (harmonic_lattice(npts).a @ np.eye(npts)).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"v": np.array([0.0, np.nan, 0.0, 0.0])}, "potential"),
+         ({"v": np.array([0.0, 0.0, np.inf, 0.0])}, "potential"),
+         ({"h": 0.0}, "mesh width"), ({"h": -0.1}, "mesh width"),
+         ({"h": np.nan}, "mesh width"), ({"h": np.inf}, "mesh width"),
+         ({"gamma": -1.0}, "gamma"), ({"gamma": np.nan}, "gamma"),
+         ({"gamma": np.inf}, "gamma")],
+    )
+    def test_operator_model_rejects_bad_inputs(self, kwargs, named):
+        """The operator path checks V, h and gamma as the dense path does."""
+        args = {"a": DirichletLaplacian(4, 0.5), "v": np.zeros(4), "h": 0.5, "gamma": 1.0}
+        with pytest.raises(ValueError, match=named):
+            TraceDensityModel(**{**args, **kwargs})
+
+    def test_operator_model_rejects_wrong_potential_length(self):
+        with pytest.raises(ShapeMismatch):
+            TraceDensityModel(a=DirichletLaplacian(4, 0.5), v=np.zeros(5), h=0.5)
+
+    @pytest.mark.parametrize(
+        "npts, h, named",
+        [(0, 0.5, "npts"), (-3, 0.5, "npts"), (2.0, 0.5, "npts"), (True, 0.5, "npts"),
+         (4, 0.0, "mesh width"), (4, np.nan, "mesh width"), (4, np.inf, "mesh width")],
+    )
+    def test_laplacian_rejects_bad_size_or_mesh(self, npts, h, named):
+        with pytest.raises(ValueError, match=named):
+            DirichletLaplacian(npts, h)
+
+    @pytest.mark.parametrize("npts", [0, -1, 3.0])
+    def test_harmonic_lattice_rejects_bad_size(self, npts):
+        with pytest.raises(ValueError, match="npts"):
+            harmonic_lattice(npts)
+
+    def test_laplacian_rejects_wrong_rows(self):
+        with pytest.raises(ShapeMismatch):
+            DirichletLaplacian(4, 0.5) @ np.ones((5, 2))
 
     def test_matrix_is_symmetrized_into_a_read_only_copy(self):
         a = random_symmetric(6, 3)
@@ -270,6 +308,47 @@ class TestSuppliedProducts:
                 return DIAG123.hessian_apply(u, d)
 
         assert Wrapper().apply_operator is None
+
+
+class TestStencilOperator:
+    """A model on the stencil Laplacian agrees with its dense twin."""
+
+    @given(
+        npts=st.integers(1, 64),
+        p=st.integers(1, 4),
+        potential=st.booleans(),
+        length=st.floats(0.5, 50.0),
+        gamma=st.floats(0.0, 100.0),
+        well=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_twin(self, npts, p, potential, length, gamma, well, seed):
+        lattice = harmonic_lattice(npts, length=length, gamma=gamma, well=well)
+        dense_laplacian = lattice.a @ np.eye(npts)
+        if potential:
+            model = lattice
+            twin = TraceDensityModel(a=dense_laplacian, v=lattice.v, h=lattice.h, gamma=gamma)
+        else:
+            model = TraceDensityModel(a=lattice.a)
+            twin = TraceDensityModel(a=dense_laplacian)
+        rng = np.random.default_rng(seed)
+        u, d = rng.standard_normal((2, npts, min(p, npts)))
+
+        def close(x, y):
+            return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+        assert close(model.value(u), twin.value(u))
+        assert close(model.euclidean_gradient(u), twin.euclidean_gradient(u))
+        assert close(model.hessian_apply(u, d), twin.hessian_apply(u, d))
+
+    def test_kinetic_energy_of_one_point(self):
+        lap = DirichletLaplacian(1, 0.5)
+        assert lap.kinetic_energy(np.array([[3.0, 4.0]])) == 0.5 * 4.0 * 2.0 * 25.0
+
+    def test_eigen_oracle_needs_a_dense_matrix(self):
+        with pytest.raises(ValueError, match="dense matrix"):
+            eigen_oracle(TraceDensityModel(a=harmonic_lattice(8).a), 2)
 
 
 class TestOrthogonalInvariance:

@@ -621,6 +621,17 @@ class TestLatticeSolve:
             a, b = energies.values()
             assert abs(a - b) <= 1e-7 * (1.0 + abs(a))
 
+    @pytest.mark.parametrize("frame", [1, 2])
+    @pytest.mark.parametrize("gamma", [10.0, 100.0])
+    def test_fair_backtracking_converges_on_stiff_lattice(self, gamma, frame):
+        """The kinetic energy from differences resolves the Armijo test near
+        the minimum; an energy taken from A U loses the decrease to roundoff
+        there, and backtracking stops at its shrink cap."""
+        model = harmonic_lattice(256, gamma=gamma)
+        config = SolveConfig(epsilon=1e-8, strategy="backtracking")
+        result = solve(model, random_stiefel(256, 8, frame), config)
+        assert result.status is Status.CONVERGED, result.diagnostic
+
 
 class TestFailureHandling:
     def test_nan_energy_fails_cleanly(self):
