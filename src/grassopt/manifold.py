@@ -132,13 +132,18 @@ def retract_qr_factors(u: np.ndarray, d: np.ndarray, t: float) -> tuple[np.ndarr
 
 
 def retract_geodesic(u: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
-    """Exponential-map retraction along the exact Grassmann geodesic; the
-    new frame is read-only."""
+    """Exponential-map retraction along the exact Grassmann geodesic
+    (Edelman, Arias & Smith 1998); the new frame is read-only.  With
+    D = A diag(s) B^T, the frame U B cos(s t) B^T + A sin(s t) B^T is formed
+    as the update U + (U B (cos(s t) - I) + A sin(s t)) B^T, cos - 1 written
+    as -2 sin^2(s t / 2).  Its rounding shrinks with t; the round trip U B B^T
+    adds about eps ||U|| at any t, which can swamp a small trial's decrease."""
     if t == 0.0:
         return u
     a, s, qt = svd_thin(d)  # d = a @ diag(s) @ b.T
     b = qt.T
     st = s * t
-    u_new = (u @ b) * np.cos(st) @ b.T + a * np.sin(st) @ b.T
+    half = np.sin(0.5 * st)
+    u_new = u + ((u @ b) * (-2.0 * half * half) + a * np.sin(st)) @ b.T
     u_new.setflags(write=False)
     return u_new

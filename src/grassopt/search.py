@@ -2,9 +2,13 @@
 
 Pluggable direction providers (steepest descent, restarted PR+ conjugate
 gradient) and step strategies (adaptive, backtracking, none), whose steps
-are all decided in `stepsize`.  The loop keeps exact counters of energy
-and retraction evaluations, including those spent inside backtracking
-trials, and one IterationRecord per step, which is the CLI's trace row.
+are all decided in `stepsize`.  The loop keeps one IterationRecord per
+step, which is the CLI's trace row, and derives the result's counters from
+the trace at return: a step makes backtracks + 1 trials (MAX_BACKTRACKS + 1
+at the shrink cap), each trial is one retraction and, under backtracking,
+one energy evaluation, and each of the k + 1 iterates of a k-step solve is
+one evaluation.  A step that raises other than at the shrink cap leaves no
+record and counts none of its trials.
 
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
@@ -17,8 +21,8 @@ One rule decides every exit: each exit follows an exact evaluation.  An
 iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,
 and whenever its carried evaluation would end the loop, by a stop condition
 or a failed step.  In that last case the loop goes round once more on the
-same iterate; the evaluation is not counted again and a failed step is not
-retried.
+same iterate, which still counts as one evaluation, and a failed step is
+not retried.
 
 Typed frames stay at the edge: `solve` takes a StiefelPoint and returns
 one, and inside the loop frames, gradients and directions are plain n-by-p
@@ -157,16 +161,16 @@ def cg_direction(
     """Polak-Ribiere-plus direction with periodic restart and descent /
     boundedness safeguards, as (D, ||D||_F, whether it was reset to -G).
     `norm_new` and `norm_old` are the norms of the gradients g_new and g_old.
-    Previous tangents are moved to the tangent space at `u_new` by
-    projection."""
+    The previous direction is moved to the tangent space at `u_new` by
+    projection.  g_old needs none: g_new is tangent at `u_new`, so
+    <g_new, P g_old> = <g_new, g_old>."""
     if g_old is None or d_old is None or iter_index % period == 0:
         return -g_new, norm_new, True
-    g_old_here = project_tangent(u_new, g_old)
     d_old_here = project_tangent(u_new, d_old)
     denom = norm_old**2
     beta = 0.0
     if denom > 0.0:
-        beta = float(np.sum(g_new * (g_new - g_old_here))) / denom
+        beta = float(np.sum(g_new * (g_new - g_old))) / denom
     beta = max(0.0, beta)
     d = -g_new + beta * d_old_here
     d_norm = float(np.linalg.norm(d))
@@ -196,15 +200,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     if not defect <= ORTHO_TOL:
         raise ValueError(f"initial point infeasible: defect {defect:.3e}")
 
-    base_retract = retract_qr if config.retraction == "qr" else retract_geodesic
-    energy_evals = 0
-    retraction_evals = 0
-
-    def retraction(u, d, t):
-        nonlocal retraction_evals
-        retraction_evals += 1
-        return base_retract(u, d, t)
-
+    retraction = retract_qr if config.retraction == "qr" else retract_geodesic
     carry = (
         config.strategy == "adaptive"
         and config.retraction == "qr"
@@ -213,8 +209,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     # A U of `u`: carried, or formed by backtracking's accepted trial
     au: Optional[np.ndarray] = None
     carried = False  # whether `au` came from the recurrence
-    again = False  # whether this turn evaluates the same iterate again, exactly
-    failure = ""  # diagnostic of a failed step
+    diagnostic = ""  # of the failure about to end the solve
+    capped = False  # whether the last step hit the shrink cap
     params = config.step_params
     u = u0.u  # the iterate
     nm: Optional[ss.NonMonotoneState] = None
@@ -228,25 +224,24 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     energy = residual = math.nan
     tic = time.perf_counter()
     while True:
-        error = ""
         try:
-            energy_evals += not again
             if carry and not carried:
                 au = model.apply_operator(u)
             energy, egrad, grad, residual = _evaluate(model, u, au)
         except (LinalgError, FloatingPointError) as exc:
-            error = f"iteration {n}: {exc}"
-        status, diagnostic = None, ""
-        if failure or error:
-            status, diagnostic = Status.FAILED, failure or error
+            diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
+        if diagnostic:
+            status = Status.FAILED
         elif not (math.isfinite(energy) and math.isfinite(residual)):
             status, diagnostic = Status.FAILED, f"iteration {n}: non-finite energy or residual"
         elif residual <= config.epsilon:
             status = Status.CONVERGED
         elif n >= config.max_iter:
             status = Status.MAX_ITERATIONS
+        else:
+            status = None
         if carried and status is not None:
-            carried, again = False, True  # decide it on an exact evaluation
+            carried, diagnostic = False, ""  # decide it on an exact evaluation
             continue
         # the frame is checked after each exact evaluation of a carried solve, and at exit
         if status is not Status.FAILED and (status is not None or carry and not carried):
@@ -278,7 +273,6 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 hq = grassmann_hessian_qform(model, u, direction, egrad, ad)
                 decision = ss.adaptive_step(energy, nm.c, slope, hq, t_initial, params, d_norm)
                 if carry:
-                    retraction_evals += 1
                     next_u, r_inv = retract_qr_factors(u, direction, decision.t)
                     au = (au + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
                     carried = au is not None
@@ -295,18 +289,15 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                     retraction,
                     g=slope,
                 )
-                energy_evals += decision.backtracks + 1  # one per trial
             else:  # strategy == "none": accept the initial guess unjudged
                 decision = ss.unjudged_step(t_initial, params)
                 next_u = retraction(u, direction, decision.t)
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
-            if isinstance(exc, ss.MaxBacktracks):
-                energy_evals += ss.MAX_BACKTRACKS + 1  # every trial was evaluated
-            failure = f"iteration {n}: {exc}"
+            diagnostic, capped = f"iteration {n}: {exc}", isinstance(exc, ss.MaxBacktracks)
             if carried:
-                carried, again = False, True  # report the iterate exactly
+                carried = False  # report the iterate exactly
                 continue
-            status, diagnostic = Status.FAILED, failure
+            status = Status.FAILED
             break
 
         trace.append(
@@ -324,7 +315,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             )
         )
         g_prev, d_prev, prev_u, residual_prev = grad, direction, u, residual
-        u, n, again = next_u, n + 1, False
+        u, n = next_u, n + 1
         tic = time.perf_counter()
 
     if status is Status.FAILED:
@@ -333,13 +324,15 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         object.__setattr__(final_point, "u", u)
     else:
         final_point = StiefelPoint(u)
+    # one retraction per trial; one energy evaluation per iterate and per backtracking trial
+    trials = sum(rec.backtracks + 1 for rec in trace) + capped * (ss.MAX_BACKTRACKS + 1)
     return SolveResult(
         status=status,
         final_point=final_point,
         final_energy=energy,
         final_residual=residual,
         trace=trace,
-        total_energy_evals=energy_evals,
-        total_retraction_evals=retraction_evals,
+        total_energy_evals=len(trace) + 1 + (trials if config.strategy == "backtracking" else 0),
+        total_retraction_evals=trials,
         diagnostic=diagnostic,
     )

@@ -137,6 +137,20 @@ class TestRetractions:
         for t in (0.5, 3.0):
             npt.assert_allclose(retract_geodesic(u, np.zeros(u.shape), t), u, atol=1e-14)
 
+    @pytest.mark.parametrize("direction", ["steepest", "cg_restart"])
+    def test_geodesic_backtracking_converges_on_lattice(self, direction):
+        """The geodesic step is an update of U, whose rounding shrinks with t.
+        Rebuilt through U B B^T, every step carried rounding of about
+        eps ||U||, and each of these solves stopped at the shrink cap."""
+        model = harmonic_lattice(128, gamma=1.0)
+        config = SolveConfig(
+            epsilon=1e-8, strategy="backtracking", direction=direction, retraction="geodesic"
+        )
+        for frame in range(4):
+            result = solve(model, random_stiefel(128, 4, frame), config)
+            assert result.status is Status.CONVERGED, (frame, result.diagnostic)
+            assert ortho_defect(result.final_point.u) <= 1e-14
+
 
 class TestCarriedRetraction:
     """retract_qr_factors: Cholesky QR up to t ||D|| = CHOLESKY_QR_MAX_STEP,

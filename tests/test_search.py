@@ -21,7 +21,7 @@ from grassopt import (
     solve,
 )
 from grassopt import search
-from grassopt.linalg import LinalgError
+from grassopt.linalg import LinalgError, RankDeficient
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 from grassopt.stepsize import MAX_BACKTRACKS
 
@@ -101,6 +101,23 @@ class TestDirections:
         d, d_norm, was_reset = cg_direction(g, 0.5 * g, d_old, u, 3, 50, norm, 0.5 * norm)
         assert was_reset
         npt.assert_array_equal(d, -g)
+
+    def test_cg_beta_needs_no_transported_gradient(self):
+        """g_new is tangent at u_new, so <g_new, P g_old> = <g_new, g_old>:
+        the direction matches one built from the projected g_old."""
+        u = random_stiefel(30, 4, 11).u
+        rng = np.random.default_rng(12)
+        g_new = random_tangent(u, 13)
+        g_old = 0.3 * rng.standard_normal(u.shape)  # not tangent at u
+        d_old = 0.3 * rng.standard_normal(u.shape)
+        norm_new, norm_old = float(np.linalg.norm(g_new)), float(np.linalg.norm(g_old))
+        d, d_norm, was_reset = cg_direction(g_new, g_old, d_old, u, 3, 50, norm_new, norm_old)
+        g_old_here = project_tangent(u, g_old)
+        beta = float(np.sum(g_new * (g_new - g_old_here))) / norm_old**2
+        expect = -g_new + beta * project_tangent(u, d_old)
+        assert not was_reset and beta > 0.0
+        assert np.linalg.norm(d - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert d_norm == np.linalg.norm(d)
 
     def test_cg_descent_across_solve(self):
         model = QuadraticTraceModel(random_symmetric(20, seed=9))
@@ -681,6 +698,38 @@ class TestFailureHandling:
             == (iters + 1) + (iters + shrinks) + MAX_BACKTRACKS + 1
             == TurnsHostile.calls
         )
+
+    @pytest.mark.parametrize(
+        "strategy, name",
+        [
+            ("backtracking", "retract_qr"),
+            ("none", "retract_qr"),
+            ("adaptive", "retract_qr_factors"),  # the carried step
+        ],
+    )
+    def test_raising_retraction_counts_no_trial(self, monkeypatch, strategy, name):
+        """A step that raises inside a retraction counts none of its trials:
+        the counters are the totals the trace implies."""
+        original = getattr(search, name)
+        calls = []
+
+        def failing(u, d, t):
+            calls.append(t)
+            if len(calls) == 12:
+                raise RankDeficient("injected")
+            return original(u, d, t)
+
+        monkeypatch.setattr(search, name, failing)
+        model = QuadraticTraceModel(random_symmetric(30, seed=13))
+        config = SolveConfig(epsilon=1e-14, strategy=strategy)
+        result = solve(model, random_stiefel(30, 3, 14), config)
+        assert result.status is Status.FAILED
+        assert "injected" in result.diagnostic
+        trials = sum(rec.backtracks + 1 for rec in result.trace)
+        assert 0 < trials < len(calls)
+        assert result.total_retraction_evals == trials
+        extra = trials if strategy == "backtracking" else 0
+        assert result.total_energy_evals == result.iters + 1 + extra
 
     def test_nan_gradient_fails_cleanly(self):
         class NanGradient(Delegate):
