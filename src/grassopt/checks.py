@@ -208,6 +208,28 @@ def check_evaluate_consistency() -> CheckResult:
     return CheckResult("evaluate_consistency", True)
 
 
+def check_qform_consistency() -> CheckResult:
+    """hessian_qform(U, D) is <D, hessian_apply(U, D)> to 1e-12 (1 + |value|),
+    and hessian_qform(U, D, A D) has the bits of hessian_qform(U, D)."""
+    rng = np.random.default_rng(207)
+    worst = 0.0
+    for _ in range(50):
+        for model, n, p in _models(rng):
+            u = _random_point(rng, n, p).u
+            d = _random_tangent(rng, u)
+            form = model.hessian_qform(u, d)
+            action = float(np.sum(d * model.hessian_apply(u, d)))
+            err = abs(form - action) / (1.0 + abs(form))
+            worst = max(worst, err)
+            if not err <= 1e-12:
+                return CheckResult("qform_consistency", False, f"n={n}: {form} vs {action}")
+            if model.hessian_qform(u, d, model.apply_operator(d)) != form:
+                return CheckResult(
+                    "qform_consistency", False, f"n={n}: supplied A D changes the form"
+                )
+    return CheckResult("qform_consistency", True, f"max relative gap {worst:.1e}")
+
+
 def check_hessian_symmetry() -> CheckResult:
     """<hess[D1], D2> = <hess[D2], D1> to 1e-9 relative."""
     rng = np.random.default_rng(203)
@@ -352,6 +374,7 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
         check_gradient_fd,
         check_gradient_tangency,
         check_evaluate_consistency,
+        check_qform_consistency,
         check_hessian_symmetry,
         check_taylor_expansion,
         check_qform_fd,

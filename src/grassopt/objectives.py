@@ -2,8 +2,9 @@
 
 Models expose the ambient value / gradient / Hessian action on raw arrays
 (so finite-difference probes may leave the manifold), plus a fused
-`evaluate` that returns value and gradient from one pass; the Grassmann
-gradient and Hessian quadratic form are assembled on top.
+`evaluate` that returns value and gradient from one pass and a scalar
+`hessian_qform`; the Grassmann gradient and Hessian quadratic form are
+assembled on top.
 """
 
 from __future__ import annotations
@@ -25,16 +26,19 @@ class EnergyModel(abc.ABC):
 
     `evaluate` returns (value(U), euclidean_gradient(U)); a model may fuse
     the two to share work, but must return exactly what they return.
+    `hessian_qform` returns <D, hessian_apply(U, D)>; a model may form the
+    scalar without the n-by-p Hessian action, but must agree with it to
+    roundoff and return the same bits with or without a supplied A D.
 
     `solve` carries A U across QR retractions exactly when the model
     defines `apply_operator(x) -> A x`, and backtracking then applies A once
     per trial and no more.  A model that defines it accepts the products A U
-    and A D as `value(u, au)`, `evaluate(u, au)` and `hessian_apply(u, d, ad)`,
-    and returns the same bits with or without them.  The concrete
-    `TraceDensityModel` is final, since its fused `evaluate` and its
-    `apply_operator` would bypass a subclass's redefinitions; a variant
-    delegates to it instead and, without `apply_operator`, is evaluated
-    exactly.
+    and A D as `value(u, au)`, `evaluate(u, au)`, `hessian_apply(u, d, ad)`
+    and `hessian_qform(u, d, ad)`, and returns the same bits with or without
+    them.  The concrete `TraceDensityModel` is final, since its fused
+    `evaluate` and its `apply_operator` would bypass a subclass's
+    redefinitions; a variant delegates to it instead and, without
+    `apply_operator`, is evaluated exactly.
     """
 
     # A x for the model's linear operator, or None if the model has none
@@ -52,6 +56,14 @@ class EnergyModel(abc.ABC):
     def evaluate(self, u: np.ndarray, au: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
         """(E(U), Euclidean gradient of E at U); `au` is ignored here."""
         return self.value(u), self.euclidean_gradient(u)
+
+    def hessian_qform(
+        self, u: np.ndarray, d: np.ndarray, ad: Optional[np.ndarray] = None
+    ) -> float:
+        """<D, Euclidean Hessian of E at U applied to D>, from `hessian_apply`;
+        `ad` is the product A D, passed on only when it is given."""
+        hd = self.hessian_apply(u, d) if ad is None else self.hessian_apply(u, d, ad)
+        return float(np.sum(d * hd))
 
 
 def _is_count(value) -> bool:
@@ -218,6 +230,22 @@ class TraceDensityModel(EnergyModel):
             + 2.0 * self.gamma * self.h * (rho[:, None] * d + 2.0 * sigma[:, None] * u)
         )
 
+    def hessian_qform(self, u, d, ad=None):
+        """<D, A D> + 2h sum_r (V_r + gamma rho_r) |d_r|^2 + 4 gamma h sum_r sigma_r^2,
+        with sigma_r = <u_r, d_r>: the density terms from row sums, with no
+        n-by-p Hessian action.  Without V it is <D, A D>, with the bits of
+        the default."""
+        if ad is None:
+            ad = self.a @ d
+        quad = float(np.sum(d * ad))
+        if self.v is None:
+            return quad
+        rho = np.einsum("ij,ij->i", u, u)
+        sigma = np.einsum("ij,ij->i", u, d)
+        dd = np.einsum("ij,ij->i", d, d)
+        weighted = float((self.v + self.gamma * rho) @ dd)
+        return quad + 2.0 * self.h * weighted + 4.0 * self.gamma * self.h * float(sigma @ sigma)
+
 
 # The constructors of the trace-only and the lattice energies.
 QuadraticTraceModel = NonlinearLatticeModel = TraceDensityModel
@@ -281,14 +309,15 @@ def grassmann_hessian_qform(
     """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)) for a
     frame `u` and a tangent `d` at it.
 
-    `egrad` is the Euclidean gradient at `u` if the caller already has it;
-    otherwise it is computed here.  `ad` is the product A D of a model with
-    `apply_operator`, passed on to its `hessian_apply`.
+    The first term is the model's `hessian_qform`, which by default is
+    <D, hessian_apply(U, D)> and which `TraceDensityModel` forms from row
+    sums.  `egrad` is the Euclidean gradient at `u` if the caller already
+    has it; otherwise it is computed here.  `ad` is the product A D of a
+    model with `apply_operator`, passed on to its `hessian_qform`.
     """
     if egrad is None:
         egrad = model.euclidean_gradient(u)
-    hd = model.hessian_apply(u, d) if ad is None else model.hessian_apply(u, d, ad)
-    curvature = float(np.sum(d * hd))
+    curvature = model.hessian_qform(u, d, ad)
     correction = float(np.trace((d.T @ d) @ (u.T @ egrad)))
     return curvature - correction
 

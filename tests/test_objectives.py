@@ -263,20 +263,22 @@ class TestSuppliedProducts:
     @given(
         n=st.integers(1, 24),
         p=st.integers(1, 4),
+        stencil=st.booleans(),
         potential=st.booleans(),
         gamma=st.floats(0.0, 2.0),
         h=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_carry_contract(self, n, p, potential, gamma, h, seed):
-        """With and without a potential: evaluate is (value, gradient) bit for
-        bit, and supplied products A U and A D change no bit."""
+    def test_carry_contract(self, n, p, stencil, potential, gamma, h, seed):
+        """For a dense or stencil A, with and without a potential: evaluate is
+        (value, gradient) bit for bit, hessian_qform is <D, hessian_apply>,
+        and supplied products A U and A D change no bit.  Without a
+        potential the form is <D, A D> exactly."""
         rng = np.random.default_rng(seed)
+        a = DirichletLaplacian(n, h) if stencil else random_symmetric(n, seed)
         v = rng.standard_normal(n) if potential else None
-        model = TraceDensityModel(
-            random_symmetric(n, seed), v=v, h=h, gamma=gamma if potential else 0.0
-        )
+        model = TraceDensityModel(a, v=v, h=h, gamma=gamma if potential else 0.0)
         u, d = rng.standard_normal((2, n, min(p, n)))
         energy, egrad = model.evaluate(u)
         assert energy == model.value(u)
@@ -287,6 +289,12 @@ class TestSuppliedProducts:
         npt.assert_array_equal(
             model.hessian_apply(u, d, model.apply_operator(d)), model.hessian_apply(u, d)
         )
+        form = model.hessian_qform(u, d)
+        action = float(np.sum(d * model.hessian_apply(u, d)))
+        assert abs(form - action) <= 1e-12 * (1.0 + abs(form))
+        assert model.hessian_qform(u, d, model.apply_operator(d)) == form
+        if not potential:
+            assert form == float(np.sum(d * (a @ d)))
 
     def test_model_is_final(self):
         assert QuadraticTraceModel is NonlinearLatticeModel is TraceDensityModel

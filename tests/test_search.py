@@ -359,6 +359,20 @@ class TestCarriedProduct:
         assert carried.total_energy_evals == carried.iters + 1
         assert carried.total_retraction_evals == carried.iters
 
+    def test_delegate_gets_the_default_qform(self):
+        """A delegating model that does not override hessian_qform gets
+        <D, hessian_apply>, and its adaptive lattice solve reaches the energy
+        of the model's own row-sum form."""
+        model, u0 = self.MODELS[1]()
+        wrapped = Delegate(model)
+        u, d = u0.u, random_tangent(u0.u, 24)
+        assert wrapped.hessian_qform(u, d) == float(np.sum(d * model.hessian_apply(u, d)))
+        config = SolveConfig(epsilon=1e-8, max_iter=10000)
+        direct, delegated = solve(model, u0, config), solve(wrapped, u0, config)
+        assert direct.status is delegated.status is Status.CONVERGED
+        gap = abs(delegated.final_energy - direct.final_energy)
+        assert gap <= 1e-10 * abs(direct.final_energy)
+
     @pytest.mark.parametrize("max_iter", [10000, CARRY_REFRESH + 7], ids=["converged", "cap"])
     @pytest.mark.parametrize("make", MODELS, ids=["quadratic", "lattice"])
     def test_reported_values_are_exact(self, make, max_iter):
