@@ -191,14 +191,17 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
 def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     """Write `rows` (dicts keyed by `columns`) as a CSV table with a header
     or as a JSON list of objects.  Floats are written as `.17e` (18
-    significant digits), so they round-trip exactly; flags as 0 or 1, and
-    None as empty."""
+    significant digits), so they round-trip exactly; flags as 0 or 1, None
+    as empty, and a dict as an object, or in CSV as one cell of compact JSON
+    with sorted keys."""
 
     def _cell(value):
         if isinstance(value, bool):
             return int(value)
         if isinstance(value, float):
             return f"{value:.17e}"
+        if isinstance(value, dict) and fmt == "csv":
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
         return "" if value is None else value
 
     rows = [{key: _cell(value) for key, value in row.items()} for row in rows]
@@ -211,13 +214,12 @@ def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict
         writer.writerows(rows)
 
 
-def read_trace(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def summary_dict(result: SolveResult, wallclock: float) -> dict:
+def summary_dict(result: SolveResult, config: SolveConfig, wallclock: float) -> dict:
+    """The report of a finished solve: `run` writes it as its summary, and
+    each `compare` row is it plus `flagged`."""
     return {
+        "strategy": config.strategy,
+        "bb_mode": config.bb_mode,
         "status": result.status.value,
         "iters": result.iters,
         "final_energy": result.final_energy,
@@ -231,7 +233,15 @@ def summary_dict(result: SolveResult, wallclock: float) -> dict:
         # iterations per clamp_reason: why steps were clamped
         "clamp_reasons": dict(Counter(rec.clamp_reason for rec in result.trace)),
         "wallclock_s": wallclock,
+        "ms_per_iter": 1e3 * wallclock / max(1, result.iters),
     }
+
+
+def timed_solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig):
+    """The solve's result and its summary, timed around `solve` alone."""
+    tic = time.perf_counter()
+    result = solve(model, u0, config)
+    return result, summary_dict(result, config, time.perf_counter() - tic)
 
 
 def exit_code(result: SolveResult, label: str = "") -> int:
@@ -246,85 +256,51 @@ def exit_code(result: SolveResult, label: str = "") -> int:
 
 def cmd_run(args) -> int:
     model = build_model(args)
-    u0 = build_start(args, model)
     config = build_solver_config(args, args.strategy, args.bb_mode)
-    tic = time.perf_counter()
-    result = solve(model, u0, config)
-    wallclock = time.perf_counter() - tic
+    result, summary = timed_solve(model, build_start(args, model), config)
 
     out = Path(args.out or f"trace_{args.problem}_{args.strategy}.{args.format}")
     rows = [dict(zip(TRACE_COLUMNS, astuple(rec))) for rec in result.trace]
     _write_table(out, args.format, TRACE_COLUMNS, rows)
-    summary = summary_dict(result, wallclock)
     summary_path = out.with_suffix(out.suffix + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=1))
     print(json.dumps(summary, indent=1))
     return exit_code(result)
 
 
-COMPARE_COLUMNS = (
-    "strategy",
-    "energy",
-    "iter",
-    "final_residual",
-    "wct_s",
-    "atpi_s",
-    "energy_evals",
-    "retraction_evals",
-    "status",
-    "bb_mode",
-    "flagged",
-)
-
-
 def cmd_compare(args) -> int:
-    strategies = args.strategy or ["adaptive", "backtracking"]
+    """One row per strategy and BB mode: the solve's summary plus `flagged`."""
     bb_modes = args.bb_mode or ["odd_even"]
     model = build_model(args)
     u0 = build_start(args, model)  # shared start: fairness across strategies
 
     rows = []
     codes = []
-    for strategy in strategies:
+    for strategy in args.strategy or ["adaptive", "backtracking"]:
         for bb_mode in bb_modes:
             config = build_solver_config(args, strategy, bb_mode)
-            tic = time.perf_counter()
-            result = solve(model, u0, config)
-            wct = time.perf_counter() - tic
+            result, summary = timed_solve(model, u0, config)
             codes.append(exit_code(result, f"{strategy}/{bb_mode}: "))
-            rows.append(
-                {
-                    "strategy": strategy,
-                    "energy": result.final_energy,
-                    "iter": result.iters,
-                    "final_residual": result.final_residual,
-                    "wct_s": wct,
-                    "atpi_s": wct / max(1, result.iters),
-                    "energy_evals": result.total_energy_evals,
-                    "retraction_evals": result.total_retraction_evals,
-                    "status": result.status.value,
-                    "bb_mode": bb_mode,
-                    "flagged": "",
-                }
-            )
+            rows.append({**summary, "flagged": ""})
 
     converged = [r for r in rows if r["status"] == Status.CONVERGED.value]
     if converged:
-        ref = converged[0]["energy"]
+        ref = converged[0]["final_energy"]
         for row in converged:
-            if abs(row["energy"] - ref) > 1e-7 * (1.0 + abs(ref)):
+            if abs(row["final_energy"] - ref) > 1e-7 * (1.0 + abs(ref)):
                 row["flagged"] = "energy_mismatch"
 
     for row in rows:
         label = row["strategy"] if len(bb_modes) == 1 else f"{row['strategy']}/{row['bb_mode']}"
         print(
-            f"{label:<24} {row['status']:<14} E={row['energy']: .12e} "
-            f"iter={row['iter']:<6} res={row['final_residual']:.3e} "
-            f"evals={row['energy_evals']}/{row['retraction_evals']} {row['flagged']}"
+            f"{label:<24} {row['status']:<14} E={row['final_energy']: .12e} "
+            f"iter={row['iters']:<6} res={row['final_residual']:.3e} "
+            f"evals={row['energy_evals']}/{row['retraction_evals']} "
+            f"accepted={row['initial_accepted_share']:.2f} {row['flagged']}"
         )
 
     out = Path(args.out or f"compare_{args.problem}.{args.format}")
-    _write_table(out, args.format, COMPARE_COLUMNS, rows)
+    _write_table(out, args.format, tuple(rows[0]), rows)
     return 1 if 1 in codes else max(codes)
 
 

@@ -33,10 +33,10 @@ class EnergyModel(abc.ABC):
     `solve` carries A U across QR retractions exactly when the model
     defines `apply_operator(x) -> A x`, and backtracking then applies A once
     per trial and no more.  A model that defines it accepts the products A U
-    and A D as `value(u, au)`, `evaluate(u, au)`, `hessian_apply(u, d, ad)`
-    and `hessian_qform(u, d, ad)`, and returns the same bits with or without
-    them.  The concrete `TraceDensityModel` is final, since its fused
-    `evaluate` and its `apply_operator` would bypass a subclass's
+    and A D as `value(u, au)`, `evaluate(u, au)` and `hessian_qform(u, d,
+    ad)`, and returns the same bits with or without them; `hessian_apply(u,
+    d)` forms its own A D.  The concrete `TraceDensityModel` is final, since
+    its fused `evaluate` and its `apply_operator` would bypass a subclass's
     redefinitions; a variant delegates to it instead and, without
     `apply_operator`, is evaluated exactly.
     """
@@ -61,9 +61,8 @@ class EnergyModel(abc.ABC):
         self, u: np.ndarray, d: np.ndarray, ad: Optional[np.ndarray] = None
     ) -> float:
         """<D, Euclidean Hessian of E at U applied to D>, from `hessian_apply`;
-        `ad` is the product A D, passed on only when it is given."""
-        hd = self.hessian_apply(u, d) if ad is None else self.hessian_apply(u, d, ad)
-        return float(np.sum(d * hd))
+        `ad` is ignored here."""
+        return float(np.sum(d * self.hessian_apply(u, d)))
 
 
 def _is_count(value) -> bool:
@@ -217,9 +216,8 @@ class TraceDensityModel(EnergyModel):
             + 2.0 * self.gamma * self.h * (rho[:, None] * u)
         )
 
-    def hessian_apply(self, u, d, ad=None):
-        if ad is None:
-            ad = self.a @ d
+    def hessian_apply(self, u, d):
+        ad = self.a @ d
         if self.v is None:
             return ad
         rho = self.density(u)

@@ -4,11 +4,11 @@ Pluggable direction providers (steepest descent, restarted PR+ conjugate
 gradient) and step strategies (adaptive, backtracking, none), whose steps
 are all decided in `stepsize`.  The loop keeps one IterationRecord per
 step, which is the CLI's trace row, and derives the result's counters from
-the trace at return: a step makes backtracks + 1 trials (MAX_BACKTRACKS + 1
-at the shrink cap), each trial is one retraction and, under backtracking,
-one energy evaluation, and each of the k + 1 iterates of a k-step solve is
-one evaluation.  A step that raises other than at the shrink cap leaves no
-record and counts none of its trials.
+the trace at return: a step makes backtracks + 1 trials, each trial is one
+retraction and, under backtracking, one energy evaluation, and each of the
+k + 1 iterates of a k-step solve is one evaluation.  A backtracking step
+that finds no acceptable trial counts the trials it made; a step that
+raises otherwise leaves no record and counts none of its trials.
 
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
@@ -210,7 +210,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     au: Optional[np.ndarray] = None
     carried = False  # whether `au` came from the recurrence
     diagnostic = ""  # of the failure about to end the solve
-    capped = False  # whether the last step hit the shrink cap
+    failed_trials = 0  # trials of a backtracking step that found no acceptable one
     params = config.step_params
     u = u0.u  # the iterate
     nm: Optional[ss.NonMonotoneState] = None
@@ -293,7 +293,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 decision = ss.unjudged_step(t_initial, params)
                 next_u = retraction(u, direction, decision.t)
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
-            diagnostic, capped = f"iteration {n}: {exc}", isinstance(exc, ss.MaxBacktracks)
+            diagnostic = f"iteration {n}: {exc}"
+            failed_trials = exc.trials if isinstance(exc, ss.MaxBacktracks) else 0
             if carried:
                 carried = False  # report the iterate exactly
                 continue
@@ -325,7 +326,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     else:
         final_point = StiefelPoint(u)
     # one retraction per trial; one energy evaluation per iterate and per backtracking trial
-    trials = sum(rec.backtracks + 1 for rec in trace) + capped * (ss.MAX_BACKTRACKS + 1)
+    trials = sum(rec.backtracks + 1 for rec in trace) + failed_trials
     return SolveResult(
         status=status,
         final_point=final_point,

@@ -30,7 +30,13 @@ class NonDescentDirection(Exception):
 
 
 class MaxBacktracks(Exception):
-    """Backtracking loop exceeded its cap; the state is pathological."""
+    """No trial step was accepted before the shrink cap or the floor t_min.
+    `trials` is the number of trial steps made, one more than the shrinks;
+    the message states the shrinks and the last step tried, `t`."""
+
+    def __init__(self, trials: int, t: float):
+        super().__init__(f"no acceptable step after {trials - 1} shrinks, down to t = {t:.3e}")
+        self.trials = trials
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,9 @@ def backtracking_step(
 ) -> tuple[StepDecision, np.ndarray, Optional[np.ndarray]]:
     """Shrink t by k until the non-monotone sufficient-decrease condition
     E(ortho(U, D, t)) - C <= eta * t * g holds, where g = <grad, D> is the
-    slope along the tangent D at the frame U.
+    slope along the tangent D at the frame U.  Raises MaxBacktracks after
+    MAX_BACKTRACKS shrinks, or as soon as the next shrink would drop t below
+    t_min.
 
     Each trial costs one retraction and one energy evaluation.  With
     `apply_operator`, a trial applies A once, to its frame U+, and is scored
@@ -245,5 +253,6 @@ def backtracking_step(
                 candidate,
                 au,
             )
+        if count == MAX_BACKTRACKS or t * params.k < params.t_min:
+            raise MaxBacktracks(count + 1, t)
         t *= params.k
-    raise MaxBacktracks(f"no acceptable step after {MAX_BACKTRACKS} shrinks")

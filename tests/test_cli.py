@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from grassopt import QuadraticTraceModel, SolveConfig, eigen_oracle, random_symmetric
-from grassopt.cli import (
-    COMPARE_COLUMNS,
-    TRACE_COLUMNS,
-    build_parser,
-    build_solver_config,
-    main,
-    read_trace,
-)
+from grassopt.cli import TRACE_COLUMNS, build_parser, build_solver_config, main
 from grassopt.search import DIRECTIONS, RETRACTIONS
 
 
@@ -23,8 +16,8 @@ TRACE_HEADER = (
     "initial_accepted,clamp_reason,elapsed_s"
 )
 COMPARE_HEADER = (
-    "strategy,energy,iter,final_residual,wct_s,atpi_s,energy_evals,"
-    "retraction_evals,status,bb_mode,flagged"
+    "strategy,bb_mode,status,iters,final_energy,final_residual,energy_evals,"
+    "retraction_evals,initial_accepted_share,clamp_reasons,wallclock_s,ms_per_iter,flagged"
 )
 
 
@@ -38,6 +31,11 @@ def is_full_precision(cell):
         return f"{float(cell):.17e}" == cell
     except (TypeError, ValueError):
         return False
+
+
+def read_trace(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def strip_elapsed(path):
@@ -120,6 +118,19 @@ class TestRun:
         assert float(first["step"]) == 1e-20
         assert first["clamp_reason"] == "floor"
         assert first["initial_accepted"] == "1"
+
+    def test_backtracking_stops_at_the_floor(self, tmp_path, capsys):
+        """A BB guess raised to t_min that is not accepted fails the step at
+        once: the next shrink would drop below the floor."""
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "16", "--p", "2",
+            "--strategy", "backtracking", "--first-step", "1e-30", "--out", str(out),
+        ) == 1
+        summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+        assert (summary["status"], summary["iters"]) == ("failed", 0)
+        assert (summary["energy_evals"], summary["retraction_evals"]) == (2, 1)
+        assert "iteration 0: no acceptable step after 0 shrinks" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -287,12 +298,23 @@ class TestFileFormats:
                 (row,) = csv.DictReader(fh)
         else:
             (row,) = json.loads(out.read_text())
-        floats = ("energy", "final_residual", "wct_s", "atpi_s")
-        assert all(is_full_precision(row[key]) for key in floats)
+        floats = (
+            "final_energy", "final_residual", "initial_accepted_share", "wallclock_s",
+            "ms_per_iter",
+        )
+        assert [key for key, cell in row.items() if is_full_precision(cell)] == list(floats)
         assert row["flagged"] == "" and row["status"] == "converged"
+        reasons = row["clamp_reasons"]
         if fmt == "json":
-            counts = ("iter", "energy_evals", "retraction_evals")
+            counts = ("iters", "energy_evals", "retraction_evals")
             assert all(type(row[key]) is int for key in counts)
+            # an object of int counts
+            assert reasons and all(type(count) is int for count in reasons.values())
+        else:
+            # one cell of compact JSON with sorted keys
+            parsed = json.loads(reasons)
+            assert reasons == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
+            assert sum(parsed.values()) == int(row["iters"])
 
 
 class TestConfigFile:
@@ -364,7 +386,7 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert [r["strategy"] for r in rows] == ["adaptive", "backtracking"]
         assert all(r["status"] == "converged" for r in rows)
-        e0, e1 = (float(r["energy"]) for r in rows)
+        e0, e1 = (float(r["final_energy"]) for r in rows)
         assert abs(e0 - e1) <= 1e-7 * (1.0 + abs(e0))
         assert not any(r["flagged"] for r in rows)
 
@@ -407,7 +429,7 @@ class TestCompare:
             ("adaptive", "bb1"), ("adaptive", "bb2"),
             ("backtracking", "bb1"), ("backtracking", "bb2"),
         ]
-        assert all(tuple(r) == COMPARE_COLUMNS for r in rows)
+        assert all(",".join(r) == COMPARE_HEADER for r in rows)
         assert all(r["status"] == "converged" for r in rows)
 
     def test_exit_code_of_worst_solve(self, tmp_path, capsys):
@@ -427,6 +449,36 @@ class TestCompare:
         assert code == 1
         assert "error: --p must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rows_are_run_summaries(self, tmp_path):
+        """Each compare row is the run summary of the same solve plus
+        `flagged`, apart from the timings; floats after the `.17e` round trip."""
+        flags = (
+            "--problem", "lattice", "--npts", "32", "--p", "2", "--seed", "4", "--eps", "1e-8"
+        )
+        strategies = ("adaptive", "backtracking", "none")
+        out = tmp_path / "cmp.csv"
+        strategy_flags = [arg for strategy in strategies for arg in ("--strategy", strategy)]
+        assert run_cli("compare", *flags, *strategy_flags, "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0] == COMPARE_HEADER
+        rows = read_trace(out)
+        assert [row.pop("flagged") for row in rows] == ["", "", ""]
+        for strategy, row in zip(strategies, rows):
+            trace = tmp_path / f"{strategy}.csv"
+            assert run_cli("run", *flags, "--strategy", strategy, "--out", str(trace)) == 0
+            summary = json.loads((tmp_path / f"{strategy}.csv.summary.json").read_text())
+            assert list(summary) == list(row)
+            for key in ("wallclock_s", "ms_per_iter"):
+                del summary[key], row[key]
+            assert summary["strategy"] == strategy
+            expected = {
+                key: f"{value:.17e}" if isinstance(value, float) else value
+                for key, value in summary.items()
+            }
+            expected["clamp_reasons"] = json.dumps(
+                summary["clamp_reasons"], sort_keys=True, separators=(",", ":")
+            )
+            assert row == {key: str(value) for key, value in expected.items()}
 
     def test_shared_start_fairness(self, tmp_path):
         """All strategies see the same U0: the iteration-0 energy in their

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,12 +24,16 @@ from grassopt import (
 from grassopt import search
 from grassopt.linalg import LinalgError, RankDeficient
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
-from grassopt.stepsize import MAX_BACKTRACKS
 
 from conftest import Delegate, random_stiefel, random_tangent
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 MIX13 = StiefelPoint(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2))
+
+
+def failed_step_shrinks(result):
+    """The shrink count the diagnostic of a failed backtracking step states."""
+    return int(re.search(r"after (\d+) shrinks", result.diagnostic).group(1))
 
 
 class TestConfig:
@@ -324,8 +329,8 @@ class CarriedLog(Delegate):
         self.seen.append((u, au))
         return self.model.evaluate(u, au)
 
-    def hessian_apply(self, u, d, ad=None):
-        return self.model.hessian_apply(u, d, ad)
+    def hessian_apply(self, u, d):
+        return self.model.hessian_apply(u, d)
 
 
 def assert_exact_report(model, result):
@@ -542,11 +547,11 @@ class TestExitRule:
         class FailsEighthHessian(ExactMarked):
             calls = 0
 
-            def hessian_apply(self, u, d, ad=None):
+            def hessian_apply(self, u, d):
                 self.calls += 1
                 if self.calls == 8:
                     raise LinalgError("injected")
-                return super().hessian_apply(u, d, ad)
+                return super().hessian_apply(u, d)
 
         model = FailsEighthHessian(self.model)
         result = solve(model, self.u0, SolveConfig(epsilon=1e-14, max_iter=500))
@@ -585,9 +590,9 @@ class ReadOnlyCheck(CarriedLog):
         self.check(u)
         return super().evaluate(u, au)
 
-    def hessian_apply(self, u, d, ad=None):
+    def hessian_apply(self, u, d):
         self.check(u, d)
-        return super().hessian_apply(u, d, ad)
+        return super().hessian_apply(u, d)
 
 
 class TestArraySeam:
@@ -706,12 +711,28 @@ class TestFailureHandling:
         iters = result.iters
         shrinks = sum(rec.backtracks for rec in result.trace)
         assert iters > 0 and shrinks > 0
-        assert result.total_retraction_evals == iters + shrinks + MAX_BACKTRACKS + 1
+        failed_trials = failed_step_shrinks(result) + 1
+        assert result.total_retraction_evals == iters + shrinks + failed_trials
         assert (
             result.total_energy_evals
-            == (iters + 1) + (iters + shrinks) + MAX_BACKTRACKS + 1
+            == (iters + 1) + (iters + shrinks) + failed_trials
             == TurnsHostile.calls
         )
+
+    @pytest.mark.parametrize("strategy", ["backtracking", "adaptive", "none"])
+    def test_backtracking_stops_at_the_floor(self, strategy):
+        """An initial guess raised to t_min: backtracking fails after its one
+        trial, since the next shrink would drop below the floor, while the
+        other strategies take the step and converge."""
+        result = solve(DIAG123, MIX13, SolveConfig(strategy=strategy, first_step=1e-30))
+        assert result.trace == [] or result.trace[0].clamp_reason == "floor"
+        if strategy != "backtracking":
+            assert result.status is Status.CONVERGED
+            return
+        assert result.status is Status.FAILED and result.iters == 0
+        assert failed_step_shrinks(result) == 0
+        assert result.diagnostic.endswith("down to t = 1.000e-20")
+        assert (result.total_energy_evals, result.total_retraction_evals) == (2, 1)
 
     @pytest.mark.parametrize(
         "strategy, name",
@@ -789,7 +810,7 @@ class TestSolveProperties:
         if strategy == "backtracking":
             trials = sum(rec.backtracks + 1 for rec in result.trace)
             if "shrinks" in result.diagnostic:  # the failed step's trials
-                trials += MAX_BACKTRACKS + 1
+                trials += failed_step_shrinks(result) + 1
         assert result.total_retraction_evals == trials
         extra = trials if strategy == "backtracking" else 0
         assert result.total_energy_evals == result.iters + 1 + extra

@@ -26,7 +26,7 @@ from grassopt import (
     unjudged_step,
 )
 from grassopt.checks import run_suite
-from grassopt.stepsize import DegenerateDenominator
+from grassopt.stepsize import MAX_BACKTRACKS, DegenerateDenominator
 
 from conftest import Delegate
 
@@ -352,6 +352,31 @@ class TestBacktrackingStep:
             backtracking_step(
                 hostile, self.u, self.d, 1.0, StepParams(), self.c, retract_qr, g=self.g
             )
+
+    @pytest.mark.parametrize(
+        "t_min, trials, last",
+        [(1e-300, MAX_BACKTRACKS + 1, 0.5**MAX_BACKTRACKS), (1e-20, 67, 0.5**66)],
+        ids=["cap", "floor"],
+    )
+    def test_failure_counts_its_trials(self, t_min, trials, last):
+        """With no acceptable step, backtracking stops at the shrink cap or
+        before the first trial below t_min (0.5^66 >= 1e-20 > 0.5^67),
+        whichever comes first, and reports the trials it made."""
+        values = []
+
+        class Hostile(Delegate):
+            def value(self, u):
+                values.append(u)
+                return 1e9
+
+        params = StepParams(t_min=t_min, k=0.5)
+        with pytest.raises(MaxBacktracks) as info:
+            backtracking_step(
+                Hostile(self.model), self.u, self.d, 1.0, params, self.c, retract_qr, g=self.g
+            )
+        assert info.value.trials == len(values) == trials
+        message = f"no acceptable step after {trials - 1} shrinks, down to t = {last:.3e}"
+        assert str(info.value) == message
 
     def test_rejects_non_descent(self):
         with pytest.raises(NonDescentDirection):
