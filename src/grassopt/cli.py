@@ -189,29 +189,28 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
 
 
 def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    """Write `rows` (dicts keyed by `columns`) as a CSV table with a header
-    or as a JSON list of objects.  Floats are written as `.17e` (18
+    """Write `rows` (dicts keyed by `columns`) as a JSON list of objects,
+    encoded as `run`'s summary is (numbers, booleans, null, objects), or as
+    a CSV table with a header.  In CSV, floats are written as `.17e` (18
     significant digits), so they round-trip exactly; flags as 0 or 1, None
-    as empty, and a dict as an object, or in CSV as one cell of compact JSON
-    with sorted keys."""
+    as empty, and a dict as one cell of compact JSON with sorted keys."""
+    if fmt == "json":
+        path.write_text(json.dumps(rows, indent=1))
+        return
 
     def _cell(value):
         if isinstance(value, bool):
             return int(value)
         if isinstance(value, float):
             return f"{value:.17e}"
-        if isinstance(value, dict) and fmt == "csv":
+        if isinstance(value, dict):
             return json.dumps(value, sort_keys=True, separators=(",", ":"))
         return "" if value is None else value
 
-    rows = [{key: _cell(value) for key, value in row.items()} for row in rows]
-    if fmt == "json":
-        path.write_text(json.dumps(rows, indent=1))
-        return
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({key: _cell(value) for key, value in row.items()} for row in rows)
 
 
 def summary_dict(result: SolveResult, config: SolveConfig, wallclock: float) -> dict:

@@ -14,7 +14,9 @@ refreshes and at exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,9 +29,18 @@ ORTHO_TOL = 1e-10
 CHOLESKY_QR_MAX_STEP = 1.0
 
 
+def frobenius_norm(x: np.ndarray) -> float:
+    """||x||_F with the bits of np.linalg.norm(x) for a float array, without
+    its dispatch: the same ravel in memory order ("K"), dot and square root.
+    A plain ravel() would sum a transposed or F-ordered array in another
+    order."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def ortho_defect(u: np.ndarray) -> float:
     """||U^T U - I||_F of a frame; NaN for a non-finite one."""
-    return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
+    return frobenius_norm(u.T @ u - np.eye(u.shape[1]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -81,13 +92,15 @@ class TangentVector:
         return float(np.linalg.norm(self.d))
 
 
-def project_tangent(u: np.ndarray, g) -> np.ndarray:
+def project_tangent(u: np.ndarray, g, ug: Optional[np.ndarray] = None) -> np.ndarray:
     """Orthogonal projection of an ambient matrix onto the tangent space at
-    the frame `u`."""
+    the frame `u`; `ug` is U^T G if the caller already has it."""
     gm = np.asarray(g, dtype=float)
     if gm.shape != u.shape:
         raise ShapeMismatch(f"shape {gm.shape} != frame shape {u.shape}")
-    d = gm - u @ (u.T @ gm)
+    if ug is None:
+        ug = u.T @ gm
+    d = gm - u @ ug
     # Project twice: one pass leaves U^T D at roundoff times ||G||, and the
     # geodesic retraction, which does not re-orthonormalize, needs U^T D = 0
     # to roundoff in D's own scale, or its frames drift off the manifold.
@@ -100,9 +113,12 @@ def retract_qr(u: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
     return retract_qr_factors(u, d, t)[0]
 
 
-def retract_qr_factors(u: np.ndarray, d: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def retract_qr_factors(
+    u: np.ndarray, d: np.ndarray, t: float, d_norm: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """QR retraction together with the inverse of its p-by-p factor:
     U + t D = U_new R, returned as (U_new, R^-1), U_new read-only.
+    `d_norm` is ||D||_F if the caller already has it.
 
     Up to |t| ||D||_F = CHOLESKY_QR_MAX_STEP this is a Cholesky QR: R is the
     transposed Cholesky factor of G = (U + t D)^T (U + t D) and
@@ -113,8 +129,10 @@ def retract_qr_factors(u: np.ndarray, d: np.ndarray, t: float) -> tuple[np.ndarr
     """
     if t == 0.0:
         return u, np.eye(u.shape[1])
+    if d_norm is None:
+        d_norm = frobenius_norm(d)
     x = u + t * d
-    if abs(t) * float(np.linalg.norm(d)) > CHOLESKY_QR_MAX_STEP:
+    if abs(t) * d_norm > CHOLESKY_QR_MAX_STEP:
         q, r = thin_qr(x)
         r_inv = np.linalg.inv(r)
     else:

@@ -62,7 +62,7 @@ class EnergyModel(abc.ABC):
     ) -> float:
         """<D, Euclidean Hessian of E at U applied to D>, from `hessian_apply`;
         `ad` is ignored here."""
-        return float(np.sum(d * self.hessian_apply(u, d)))
+        return float((d * self.hessian_apply(u, d)).sum())
 
 
 def _is_count(value) -> bool:
@@ -173,7 +173,7 @@ class TraceDensityModel(EnergyModel):
         return self.a.shape[0]
 
     def density(self, u: np.ndarray) -> np.ndarray:
-        return np.sum(u * u, axis=1)
+        return (u * u).sum(axis=1)
 
     def value(self, u, au=None):
         return self._energy(u, au, self._rho(u))
@@ -200,7 +200,7 @@ class TraceDensityModel(EnergyModel):
         else:
             if au is None:
                 au = self.a @ u
-            quad = 0.5 * float(np.sum(u * au))
+            quad = 0.5 * float((u * au).sum())
         if rho is None:
             return quad
         ext = self.h * float(self.v @ rho)
@@ -221,7 +221,7 @@ class TraceDensityModel(EnergyModel):
         if self.v is None:
             return ad
         rho = self.density(u)
-        sigma = np.sum(u * d, axis=1)
+        sigma = (u * d).sum(axis=1)
         return (
             ad
             + 2.0 * self.h * (self.v[:, None] * d)
@@ -235,7 +235,7 @@ class TraceDensityModel(EnergyModel):
         the default."""
         if ad is None:
             ad = self.a @ d
-        quad = float(np.sum(d * ad))
+        quad = float((d * ad).sum())
         if self.v is None:
             return quad
         rho = np.einsum("ij,ij->i", u, u)
@@ -301,7 +301,7 @@ def grassmann_hessian_qform(
     model: EnergyModel,
     u: np.ndarray,
     d: np.ndarray,
-    egrad: Optional[np.ndarray] = None,
+    ug: Optional[np.ndarray] = None,
     ad: Optional[np.ndarray] = None,
 ) -> float:
     """Quadratic form <D, hess E(U)[D]> - tr(D^T D U^T grad E(U)) for a
@@ -309,14 +309,15 @@ def grassmann_hessian_qform(
 
     The first term is the model's `hessian_qform`, which by default is
     <D, hessian_apply(U, D)> and which `TraceDensityModel` forms from row
-    sums.  `egrad` is the Euclidean gradient at `u` if the caller already
-    has it; otherwise it is computed here.  `ad` is the product A D of a
-    model with `apply_operator`, passed on to its `hessian_qform`.
+    sums.  `ug` is the p-by-p product U^T grad E(U) if the caller already
+    has it, as `solve` does from its tangent projection; otherwise it is
+    computed here.  `ad` is the product A D of a model with
+    `apply_operator`, passed on to its `hessian_qform`.
     """
-    if egrad is None:
-        egrad = model.euclidean_gradient(u)
+    if ug is None:
+        ug = u.T @ model.euclidean_gradient(u)
     curvature = model.hessian_qform(u, d, ad)
-    correction = float(np.trace((d.T @ d) @ (u.T @ egrad)))
+    correction = float(((d.T @ d) @ ug).trace())
     return curvature - correction
 
 

@@ -49,6 +49,7 @@ from .linalg import LinalgError
 from .manifold import (
     StiefelPoint,
     ORTHO_TOL,
+    frobenius_norm,
     ortho_defect,
     project_tangent,
     retract_geodesic,
@@ -170,11 +171,11 @@ def cg_direction(
     denom = norm_old**2
     beta = 0.0
     if denom > 0.0:
-        beta = float(np.sum(g_new * (g_new - g_old))) / denom
+        beta = float((g_new * (g_new - g_old)).sum()) / denom
     beta = max(0.0, beta)
     d = -g_new + beta * d_old_here
-    d_norm = float(np.linalg.norm(d))
-    slope = float(np.sum(g_new * d))
+    d_norm = frobenius_norm(d)
+    slope = float((g_new * d).sum())
     # a NaN slope or norm fails both tests and resets too
     if not (slope <= -_CG_DESCENT_TOL * norm_new**2 and d_norm <= _CG_GROWTH * norm_new):
         return -g_new, norm_new, True
@@ -182,15 +183,17 @@ def cg_direction(
 
 
 def _evaluate(model: EnergyModel, u: np.ndarray, au: Optional[np.ndarray]):
-    """(energy, Euclidean gradient, Grassmann gradient, residual) at the
-    frame `u`, from the product au = A U when it is given.  A non-finite
-    gradient has no tangent projection: the Grassmann gradient is then None
-    and the residual NaN."""
+    """(energy, U^T grad E, Grassmann gradient, residual) at the frame `u`,
+    from the product au = A U when it is given.  U^T grad E is formed once,
+    for the projection and for the judge's correction term.  A non-finite
+    gradient has no tangent projection: U^T grad E and the Grassmann
+    gradient are then None and the residual NaN."""
     energy, egrad = model.evaluate(u) if au is None else model.evaluate(u, au)
     if not np.isfinite(egrad).all():
-        return energy, egrad, None, math.nan
-    grad = project_tangent(u, egrad)
-    return energy, egrad, grad, float(np.linalg.norm(grad))
+        return energy, None, None, math.nan
+    ug = u.T @ egrad
+    grad = project_tangent(u, egrad, ug)
+    return energy, ug, grad, frobenius_norm(grad)
 
 
 def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveResult:
@@ -227,7 +230,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         try:
             if carry and not carried:
                 au = model.apply_operator(u)
-            energy, egrad, grad, residual = _evaluate(model, u, au)
+            energy, ug, grad, residual = _evaluate(model, u, au)
         except (LinalgError, FloatingPointError) as exc:
             diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
         if diagnostic:
@@ -260,7 +263,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 grad, g_prev, d_prev, u, n, config.cg_restart_period, residual, residual_prev
             )
         direction.setflags(write=False)
-        slope = float(np.sum(grad * direction))
+        slope = float((grad * direction).sum())
         assert slope < 0.0
 
         s = None if prev_u is None else u - prev_u
@@ -270,10 +273,10 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         try:
             if config.strategy == "adaptive":
                 ad = model.apply_operator(direction) if carry else None
-                hq = grassmann_hessian_qform(model, u, direction, egrad, ad)
+                hq = grassmann_hessian_qform(model, u, direction, ug, ad)
                 decision = ss.adaptive_step(energy, nm.c, slope, hq, t_initial, params, d_norm)
                 if carry:
-                    next_u, r_inv = retract_qr_factors(u, direction, decision.t)
+                    next_u, r_inv = retract_qr_factors(u, direction, decision.t, d_norm)
                     au = (au + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
                     carried = au is not None
                 else:

@@ -100,18 +100,18 @@ class StepDecision:
 
 def bb_step_1(s: np.ndarray, y: np.ndarray) -> float:
     """tau_1 = tr(S^T S) / |tr(S^T Y)|."""
-    den = abs(float(np.sum(s * y)))
+    den = abs(float((s * y).sum()))
     if den < BB_DENOM_TOL:
         raise DegenerateDenominator(f"|tr(S^T Y)| = {den:.3e}")
-    return float(np.sum(s * s)) / den
+    return float((s * s).sum()) / den
 
 
 def bb_step_2(s: np.ndarray, y: np.ndarray) -> float:
     """tau_2 = |tr(S^T Y)| / tr(Y^T Y)."""
-    den = float(np.sum(y * y))
+    den = float((y * y).sum())
     if den < BB_DENOM_TOL:
         raise DegenerateDenominator(f"tr(Y^T Y) = {den:.3e}")
-    return abs(float(np.sum(s * y))) / den
+    return abs(float((s * y).sum())) / den
 
 
 def bb_initial(

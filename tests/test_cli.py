@@ -243,8 +243,9 @@ class TestRun:
 
 
 class TestFileFormats:
-    """Headers and cells of the written files: floats as `.17e`, flags as 0
-    or 1, None as an empty cell."""
+    """Headers and cells of the written files.  In CSV: floats as `.17e`,
+    flags as 0 or 1, None as an empty cell.  In JSON, as in `run`'s summary:
+    floats as numbers, flags as booleans, None as null."""
 
     def test_trace_header(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -271,20 +272,23 @@ class TestFileFormats:
                 "--format", fmt, "--out", str(out),
             ) == 0
             rows[strategy] = read_trace(out) if fmt == "csv" else json.loads(out.read_text())
-        flags = {"0", "1"} if fmt == "csv" else {0, 1}
+        if fmt == "csv":
+            is_float, flags, missing = is_full_precision, ("0", "1"), ""
+        else:
+            is_float, flags, missing = (lambda cell: type(cell) is float), (False, True), None
         for strategy, trace in rows.items():
             for row in trace:
-                assert [key for key, cell in row.items() if is_full_precision(cell)] == (
+                assert [key for key, cell in row.items() if is_float(cell)] == (
                     ["energy", "residual", "step"]
                     + (["estimator"] if strategy == "adaptive" else [])
                     + ["elapsed_s"]
                 )
                 for key in ("direction_reset", "initial_accepted"):
-                    assert row[key] in flags and not isinstance(row[key], bool)
+                    assert type(row[key]) is type(flags[0]) and row[key] in flags
             # a CG restart and a plain step: both flag values occur
-            assert {row["direction_reset"] for row in trace} == flags
-        # backtracking has no estimate: None is written as an empty cell
-        assert all(row["estimator"] == "" for row in rows["backtracking"])
+            assert {row["direction_reset"] for row in trace} == set(flags)
+        # backtracking has no estimate: None is written as an empty cell, or null
+        assert all(row["estimator"] == missing for row in rows["backtracking"])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_compare_cells(self, tmp_path, fmt):
@@ -302,7 +306,8 @@ class TestFileFormats:
             "final_energy", "final_residual", "initial_accepted_share", "wallclock_s",
             "ms_per_iter",
         )
-        assert [key for key, cell in row.items() if is_full_precision(cell)] == list(floats)
+        is_float = is_full_precision if fmt == "csv" else (lambda cell: type(cell) is float)
+        assert [key for key, cell in row.items() if is_float(cell)] == list(floats)
         assert row["flagged"] == "" and row["status"] == "converged"
         reasons = row["clamp_reasons"]
         if fmt == "json":
@@ -310,6 +315,15 @@ class TestFileFormats:
             assert all(type(row[key]) is int for key in counts)
             # an object of int counts
             assert reasons and all(type(count) is int for count in reasons.values())
+            # the row is the run summary of the same solve, encoded the same way
+            trace = tmp_path / "trace.csv"
+            assert run_cli(
+                "run", "--n", "20", "--p", "2", "--eps", "1e-8", "--out", str(trace)
+            ) == 0
+            summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+            for key in ("wallclock_s", "ms_per_iter"):
+                del summary[key], row[key]
+            assert row == {**summary, "flagged": ""}
         else:
             # one cell of compact JSON with sorted keys
             parsed = json.loads(reasons)

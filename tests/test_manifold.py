@@ -19,7 +19,13 @@ from grassopt import (
     solve,
 )
 from grassopt.linalg import thin_qr
-from grassopt.manifold import CHOLESKY_QR_MAX_STEP, ORTHO_TOL, ortho_defect, retract_qr_factors
+from grassopt.manifold import (
+    CHOLESKY_QR_MAX_STEP,
+    ORTHO_TOL,
+    frobenius_norm,
+    ortho_defect,
+    retract_qr_factors,
+)
 from grassopt.checks import run_suite
 
 from conftest import random_stiefel, random_tangent
@@ -51,7 +57,41 @@ class TestTypes:
             point.u[0, 0] = 99.0
 
 
+class TestFrobeniusNorm:
+    """frobenius_norm has the bits of np.linalg.norm on every memory layout."""
+
+    LAYOUTS = {
+        "c": lambda x: x,
+        "f": np.asfortranarray,
+        "transposed": lambda x: x.T,
+        "sliced": lambda x: x[::2, 1:],
+        "reversed": lambda x: x[::-1, ::-2],
+    }
+
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 12)),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_numpy(self, shape, layout, scale, seed):
+        x = self.LAYOUTS[layout](scale * np.random.default_rng(seed).standard_normal(shape))
+        assert frobenius_norm(x) == np.linalg.norm(x)
+
+    def test_non_finite(self):
+        assert np.isnan(frobenius_norm(np.array([[1.0, np.nan]])))
+        assert frobenius_norm(np.array([[1.0], [-np.inf]])) == np.inf
+
+
 class TestProjectTangent:
+    @given(n=st.integers(1, 30), p=st.integers(1, 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_supplied_ug_is_bit_identical(self, n, p, seed):
+        u = random_stiefel(n, min(n, p), seed).u
+        g = np.random.default_rng(seed + 1).standard_normal(u.shape)
+        npt.assert_array_equal(project_tangent(u, g, u.T @ g), project_tangent(u, g))
+
     def test_already_tangent_is_fixed_point(self):
         u = random_stiefel(8, 3, 1).u
         d = random_tangent(u, 2)

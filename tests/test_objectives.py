@@ -290,6 +290,30 @@ class TestSuppliedProducts:
         if not potential:
             assert form == float(np.sum(d * (a @ d)))
 
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(1, 5),
+        stencil=st.booleans(),
+        potential=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_qform_from_supplied_ug(self, n, p, stencil, potential, seed):
+        """grassmann_hessian_qform given U^T grad E, as `solve` passes it, has
+        the bits of the form that computes it, with and without A D."""
+        rng = np.random.default_rng(seed)
+        a = DirichletLaplacian(n, 0.1) if stencil else random_symmetric(n, seed)
+        v = rng.standard_normal(n) if potential else None
+        model = TraceDensityModel(a, v=v, h=0.1, gamma=1.0 if potential else 0.0)
+        u = np.linalg.qr(rng.standard_normal((n, min(p, n))))[0]
+        d = random_tangent(u, seed + 1)
+        ug = u.T @ model.evaluate(u)[1]
+        ad = model.apply_operator(d)
+        assert grassmann_hessian_qform(model, u, d, ug=ug) == grassmann_hessian_qform(model, u, d)
+        assert grassmann_hessian_qform(model, u, d, ug, ad) == grassmann_hessian_qform(
+            model, u, d, None, ad
+        )
+
     def test_model_is_final(self):
         assert QuadraticTraceModel is NonlinearLatticeModel is TraceDensityModel
         with pytest.raises(TypeError, match="final"):

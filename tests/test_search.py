@@ -482,8 +482,8 @@ class TestOrthonormalityChecks:
     def test_defect_fails_carried_solve_at_refresh(self, monkeypatch):
         retract = search.retract_qr_factors
 
-        def off_manifold(u, d, t):
-            new, r_inv = retract(u, d, t)
+        def off_manifold(u, d, t, d_norm):
+            new, r_inv = retract(u, d, t, d_norm)
             return nudged(new), r_inv
 
         monkeypatch.setattr(search, "retract_qr_factors", off_manifold)
@@ -641,6 +641,47 @@ class TestArraySeam:
         assert calls == [f"retract_{retraction}"] * result.total_retraction_evals
 
 
+class TestLeanLoop:
+    """The per-iteration path calls none of numpy's module-level wrappers
+    numpy.sum, numpy.trace and numpy.linalg.norm: a solve capped at 40
+    iterations makes as many calls to them as one capped at 20."""
+
+    CAPS = (20, 40)  # both below CARRY_REFRESH: the same exact evaluations
+
+    @pytest.mark.parametrize("problem", ["quadratic", "lattice"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"strategy": "adaptive"},  # carries A U
+            {"strategy": "backtracking"},
+            {"strategy": "adaptive", "direction": "cg_restart", "retraction": "geodesic"},
+        ],
+        ids=["adaptive", "backtracking", "adaptive-cg-geodesic"],
+    )
+    def test_wrapper_calls_independent_of_iterations(self, monkeypatch, problem, kwargs):
+        assert max(self.CAPS) < CARRY_REFRESH
+        calls = dict.fromkeys(("sum", "trace", "norm"), 0)
+        for owner, name in ((np, "sum"), (np, "trace"), (np.linalg, "norm")):
+
+            def counted(*args, original=getattr(owner, name), name=name, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        if problem == "quadratic":
+            model = QuadraticTraceModel(random_symmetric(40, seed=3))
+        else:
+            model = harmonic_lattice(40, gamma=1.0)
+        u0 = random_stiefel(40, 3, 4)
+        per_cap = []
+        for cap in self.CAPS:
+            calls.update(dict.fromkeys(calls, 0))
+            result = solve(model, u0, SolveConfig(epsilon=1e-14, max_iter=cap, **kwargs))
+            assert (result.status, result.iters) == (Status.MAX_ITERATIONS, cap)
+            per_cap.append(dict(calls))
+        assert per_cap[0] == per_cap[1]
+
+
 class TestLatticeSolve:
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
     def test_strategies_agree(self, strategy):
@@ -748,11 +789,11 @@ class TestFailureHandling:
         original = getattr(search, name)
         calls = []
 
-        def failing(u, d, t):
+        def failing(u, d, t, *d_norm):
             calls.append(t)
             if len(calls) == 12:
                 raise RankDeficient("injected")
-            return original(u, d, t)
+            return original(u, d, t, *d_norm)
 
         monkeypatch.setattr(search, name, failing)
         model = QuadraticTraceModel(random_symmetric(30, seed=13))
