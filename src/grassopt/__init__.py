@@ -36,7 +36,7 @@ from .search import (
     SolveConfig,
     SolveResult,
     Status,
-    cg_direction,
+    search_direction,
     solve,
 )
 from .stepsize import (

@@ -149,9 +149,9 @@ def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def build_model(args) -> EnergyModel:
-    for flag in ("n", "p", "npts"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    for flag, least in (("n", 1), ("p", 1), ("npts", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     if args.problem == "quadratic":
         if args.matrix_file:
             mat = load_matrix(args.matrix_file)
@@ -188,6 +188,12 @@ def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:
     )
 
 
+def _json(value) -> str:
+    """Strict JSON, with the NaN and Infinity json writes for non-finite floats as null."""
+    plain = json.loads(json.dumps(value), parse_constant=lambda token: None)
+    return json.dumps(plain, indent=1, allow_nan=False)
+
+
 def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     """Write `rows` (dicts keyed by `columns`) as a JSON list of objects,
     encoded as `run`'s summary is (numbers, booleans, null, objects), or as
@@ -195,7 +201,7 @@ def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict
     significant digits), so they round-trip exactly; flags as 0 or 1, None
     as empty, and a dict as one cell of compact JSON with sorted keys."""
     if fmt == "json":
-        path.write_text(json.dumps(rows, indent=1))
+        path.write_text(_json(rows))
         return
 
     def _cell(value):
@@ -261,9 +267,8 @@ def cmd_run(args) -> int:
     out = Path(args.out or f"trace_{args.problem}_{args.strategy}.{args.format}")
     rows = [dict(zip(TRACE_COLUMNS, astuple(rec))) for rec in result.trace]
     _write_table(out, args.format, TRACE_COLUMNS, rows)
-    summary_path = out.with_suffix(out.suffix + ".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=1))
-    print(json.dumps(summary, indent=1))
+    out.with_suffix(out.suffix + ".summary.json").write_text(_json(summary))
+    print(_json(summary))
     return exit_code(result)
 
 

@@ -1,6 +1,6 @@
 """Generic line-search loop on the Grassmann manifold.
 
-Pluggable direction providers (steepest descent, restarted PR+ conjugate
+One direction step (steepest descent or restarted PR+ conjugate
 gradient) and step strategies (adaptive, backtracking, none), whose steps
 are all decided in `stepsize`.  The loop keeps one IterationRecord per
 step, which is the CLI's trace row, and derives the result's counters from
@@ -149,37 +149,36 @@ class SolveResult:
         return len(self.trace)
 
 
-def cg_direction(
-    g_new: np.ndarray,
-    g_old: Optional[np.ndarray],
+def search_direction(
+    kind: str,
+    g: np.ndarray,
+    y: Optional[np.ndarray],
     d_old: Optional[np.ndarray],
-    u_new: np.ndarray,
+    u: np.ndarray,
     iter_index: int,
     period: int,
-    norm_new: float,
+    norm: float,
     norm_old: float,
-) -> tuple[np.ndarray, float, bool]:
-    """Polak-Ribiere-plus direction with periodic restart and descent /
-    boundedness safeguards, as (D, ||D||_F, whether it was reset to -G).
-    `norm_new` and `norm_old` are the norms of the gradients g_new and g_old.
-    The previous direction is moved to the tangent space at `u_new` by
-    projection.  g_old needs none: g_new is tangent at `u_new`, so
-    <g_new, P g_old> = <g_new, g_old>."""
-    if g_old is None or d_old is None or iter_index % period == 0:
-        return -g_new, norm_new, True
-    d_old_here = project_tangent(u_new, d_old)
-    denom = norm_old**2
-    beta = 0.0
-    if denom > 0.0:
-        beta = float((g_new * (g_new - g_old)).sum()) / denom
-    beta = max(0.0, beta)
-    d = -g_new + beta * d_old_here
-    d_norm = frobenius_norm(d)
-    slope = float((g_new * d).sum())
-    # a NaN slope or norm fails both tests and resets too
-    if not (slope <= -_CG_DESCENT_TOL * norm_new**2 and d_norm <= _CG_GROWTH * norm_new):
-        return -g_new, norm_new, True
-    return d, d_norm, False
+) -> tuple[np.ndarray, float, float, bool]:
+    """(D, ||D||_F, <G, D>, whether CG reset to -G) for the direction `kind`,
+    from the gradient G at `u`, its norm, y = G - G_old, the previous
+    direction and ||G_old|| (y and D_old are None at the start).  `steepest`
+    is -G; `cg_restart` is PR+, -G + max(0, <G, y>/||G_old||^2) P D_old with P
+    the projection at `u` (y needs none: G is tangent), reset to -G every
+    `period` iterations, without y or D_old, or when a safeguard fails."""
+    if kind == "cg_restart" and y is not None and d_old is not None and iter_index % period:
+        denom = norm_old**2
+        beta = max(0.0, float((g * y).sum()) / denom) if denom > 0.0 else 0.0
+        d = -g + beta * project_tangent(u, d_old)
+        d_norm = frobenius_norm(d)
+        slope = float((g * d).sum())
+        # a NaN slope or norm fails both tests and resets too
+        if slope <= -_CG_DESCENT_TOL * norm**2 and d_norm <= _CG_GROWTH * norm:
+            return d, d_norm, slope, False
+    elif kind not in DIRECTIONS:
+        raise ValueError(f"unknown direction {kind!r}")
+    d = -g
+    return d, norm, float((g * d).sum()), kind == "cg_restart"
 
 
 def _evaluate(model: EnergyModel, u: np.ndarray, au: Optional[np.ndarray]):
@@ -256,18 +255,13 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             break
         nm = ss.initial_nm_state(config.alpha, energy) if nm is None else ss.nm_update(nm, energy)
 
-        if config.direction == "steepest":
-            direction, d_norm, was_reset = -grad, residual, False
-        else:
-            direction, d_norm, was_reset = cg_direction(
-                grad, g_prev, d_prev, u, n, config.cg_restart_period, residual, residual_prev
-            )
+        s, y = (None, None) if g_prev is None else (u - prev_u, grad - g_prev)
+        direction, d_norm, slope, was_reset = search_direction(
+            config.direction, grad, y, d_prev, u, n, config.cg_restart_period,
+            residual, residual_prev
+        )
         direction.setflags(write=False)
-        slope = float((grad * direction).sum())
         assert slope < 0.0
-
-        s = None if prev_u is None else u - prev_u
-        y = None if g_prev is None else grad - g_prev
         t_initial = ss.bb_initial(n, s, y, mode=config.bb_mode, first_step=config.first_step)
 
         try:

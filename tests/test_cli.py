@@ -33,6 +33,15 @@ def is_full_precision(cell):
         return False
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def read_trace(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -141,6 +150,19 @@ class TestRun:
         rows = json.loads(out.read_text())
         assert rows and set(rows[0]) == set(TRACE_COLUMNS)
 
+    def test_failed_solve_writes_strict_json(self, tmp_path, capsys):
+        """The NaN residual of a failed solve is null in the summary file and
+        on stdout."""
+        out = tmp_path / "nf.json"
+        assert run_cli(
+            "run", "--problem", "lattice", "--npts", "16", "--p", "2", "--gamma", "1e308",
+            "--format", "json", "--out", str(out),
+        ) == 1
+        summary = strict_json((tmp_path / "nf.json.summary.json").read_text())
+        assert (summary["status"], summary["final_residual"]) == ("failed", None)
+        assert strict_json(capsys.readouterr().out) == summary
+        assert strict_json(out.read_text()) == []
+
     def test_lattice_beyond_dense_size(self, tmp_path):
         """A lattice whose dense matrix would take 80 GB runs as a stencil."""
         out = tmp_path / "trace.json"
@@ -205,6 +227,19 @@ class TestRun:
         )
         assert code == 1
         assert f"error: {flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, source):
+        out = tmp_path / "t.csv"
+        argv = ["--seed", "-1"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            argv = ["--config", str(cfg)]
+        assert run_cli(command, *argv, "--out", str(out)) == 1
+        assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -463,6 +498,15 @@ class TestCompare:
         assert code == 1
         assert "error: --p must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_rows_are_strict_json(self, tmp_path):
+        out = tmp_path / "nf.json"
+        assert run_cli(
+            "compare", "--problem", "lattice", "--npts", "16", "--p", "2", "--gamma", "1e308",
+            "--format", "json", "--out", str(out),
+        ) == 1
+        rows = strict_json(out.read_text())
+        assert [(r["status"], r["final_residual"]) for r in rows] == [("failed", None)] * 2
 
     def test_rows_are_run_summaries(self, tmp_path):
         """Each compare row is the run summary of the same solve plus

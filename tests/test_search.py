@@ -13,16 +13,17 @@ from grassopt import (
     SolveConfig,
     Status,
     StiefelPoint,
-    cg_direction,
     eigen_oracle,
     grassmann_gradient,
     harmonic_lattice,
     project_tangent,
     random_symmetric,
+    search_direction,
     solve,
 )
-from grassopt import search
+from grassopt import search, stepsize
 from grassopt.linalg import LinalgError, RankDeficient
+from grassopt.manifold import frobenius_norm
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 
 from conftest import Delegate, random_stiefel, random_tangent
@@ -75,17 +76,118 @@ class TestConfig:
 
 
 def cg_at(u, g, iter_index):
-    """cg_direction with g as both the new and the old gradient and -g as
-    the old direction."""
+    """The cg_restart direction with g as both the new and the old gradient
+    (so y = 0) and -g as the old direction."""
     norm = float(np.linalg.norm(g))
-    return cg_direction(g, g, -g, u, iter_index, 50, norm, norm)
+    return search_direction("cg_restart", g, g - g, -g, u, iter_index, 50, norm, norm)
+
+
+def reference_cg(g_new, g_old, d_old, u_new, iter_index, period, norm_new, norm_old):
+    """The restarted PR+ direction computed as it was before its gradient
+    difference and slope were shared with the loop: its own g_new - g_old
+    for beta, and the slope formed again from the direction it returns."""
+    if g_old is None or d_old is None or iter_index % period == 0:
+        d, d_norm, reset = -g_new, norm_new, True
+    else:
+        d_old_here = project_tangent(u_new, d_old)
+        denom = norm_old**2
+        beta = 0.0
+        if denom > 0.0:
+            beta = float((g_new * (g_new - g_old)).sum()) / denom
+        beta = max(0.0, beta)
+        d = -g_new + beta * d_old_here
+        d_norm = frobenius_norm(d)
+        slope = float((g_new * d).sum())
+        reset = not (
+            slope <= -search._CG_DESCENT_TOL * norm_new**2
+            and d_norm <= search._CG_GROWTH * norm_new
+        )
+        if reset:
+            d, d_norm = -g_new, norm_new
+    return d, d_norm, float((g_new * d).sum()), reset
+
+
+# how the previous gradient and direction are built for each cg_restart path
+CG_PATHS = (
+    "continue", "pr_plus", "zero_old", "period", "no_y", "no_d_old", "nan_d_old", "ascent", "growth"
+)
+CG_KEPT = ("continue", "pr_plus", "zero_old")  # the paths that keep the CG direction
 
 
 class TestDirections:
+    def test_steepest_is_negated_gradient(self):
+        u = random_stiefel(8, 2, 2).u
+        g = random_tangent(u, 3)
+        norm = frobenius_norm(g)
+        y, d_old = g - random_tangent(u, 4), random_tangent(u, 5)
+        d, d_norm, slope, was_reset = search_direction(
+            "steepest", g, y, d_old, u, 3, 50, norm, 2.0 * norm
+        )
+        assert d.tobytes() == (-g).tobytes()
+        assert d_norm == norm
+        assert slope == float((g * -g).sum())
+        assert not was_reset
+
+    def test_unknown_kind_rejected(self):
+        u = random_stiefel(8, 2, 2).u
+        g = random_tangent(u, 3)
+        with pytest.raises(ValueError, match="bfgs"):
+            search_direction("bfgs", g, None, None, u, 0, 50, 1.0, np.nan)
+
+    @given(
+        path=st.sampled_from(CG_PATHS),
+        n=st.integers(4, 12),
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        iter_index=st.integers(1, 200),
+        period=st.integers(2, 60),
+        scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cg_matches_reference(self, path, n, p, seed, iter_index, period, scale):
+        """search_direction's cg_restart, handed y = G - G_old, is bit for
+        bit the reference on every path, and its slope is <G, D>."""
+        u = random_stiefel(n, p, seed).u
+        rng = np.random.default_rng(seed + 1)
+        g = scale * random_tangent(u, seed + 2)
+        g_old = scale * rng.standard_normal(u.shape)  # not tangent at u
+        d_old = scale * rng.standard_normal(u.shape)
+        if path == "period":
+            iter_index = period * (iter_index % 5 + 1)
+        elif iter_index % period == 0:
+            iter_index += 1
+        if path == "continue":  # beta > 0 and D stays a bounded descent direction
+            g_old, d_old = -0.5 * g + 0.1 * g_old, -g + 0.1 * d_old
+        elif path == "pr_plus":  # <G, y> < 0, so beta = 0 and D = -G
+            g_old = 2.0 * g
+        elif path == "zero_old":  # ||G_old|| = 0, so beta = 0
+            g_old = np.zeros(u.shape)
+        elif path == "no_y":
+            g_old = None
+        elif path == "no_d_old":
+            d_old = None
+        elif path == "nan_d_old":
+            d_old = np.full(u.shape, np.nan)
+        elif path == "ascent":  # beta = 2, so D = G
+            g_old, d_old = -g, g
+        elif path == "growth":  # beta = 2, so ||D|| = 20001 ||G||
+            g_old, d_old = -g, -1e4 * g
+        norm = frobenius_norm(g)
+        norm_old = np.nan if g_old is None else frobenius_norm(g_old)
+        y = None if g_old is None else g - g_old
+        expect = reference_cg(g, g_old, d_old, u, iter_index, period, norm, norm_old)
+        d, d_norm, slope, was_reset = search_direction(
+            "cg_restart", g, y, d_old, u, iter_index, period, norm, norm_old
+        )
+        assert d.tobytes() == expect[0].tobytes()
+        assert (d_norm, slope, was_reset) == expect[1:]
+        assert slope == float((g * d).sum())
+        assert was_reset == (path not in CG_KEPT)
+
     def test_cg_forced_restart(self):
         u = random_stiefel(8, 2, 2).u
         g = random_tangent(u, 3)
-        d, d_norm, was_reset = cg_at(u, g, 50)
+        d, d_norm, slope, was_reset = cg_at(u, g, 50)
         assert was_reset
         npt.assert_array_equal(d, -g)
         assert d_norm == np.linalg.norm(g)
@@ -93,7 +195,7 @@ class TestDirections:
     def test_cg_repeated_gradient_gives_steepest(self):
         u = random_stiefel(8, 2, 4).u
         g = random_tangent(u, 5)
-        d, d_norm, was_reset = cg_at(u, g, 3)
+        d, d_norm, slope, was_reset = cg_at(u, g, 3)
         # beta = 0 for identical gradients (PR+), so D = -G
         npt.assert_allclose(d, -g, atol=1e-14)
         assert d_norm == np.linalg.norm(d)
@@ -103,7 +205,9 @@ class TestDirections:
         g = random_tangent(u, 7)
         norm = float(np.linalg.norm(g))
         d_old = np.full(u.shape, np.nan)
-        d, d_norm, was_reset = cg_direction(g, 0.5 * g, d_old, u, 3, 50, norm, 0.5 * norm)
+        d, d_norm, slope, was_reset = search_direction(
+            "cg_restart", g, g - 0.5 * g, d_old, u, 3, 50, norm, 0.5 * norm
+        )
         assert was_reset
         npt.assert_array_equal(d, -g)
 
@@ -116,13 +220,42 @@ class TestDirections:
         g_old = 0.3 * rng.standard_normal(u.shape)  # not tangent at u
         d_old = 0.3 * rng.standard_normal(u.shape)
         norm_new, norm_old = float(np.linalg.norm(g_new)), float(np.linalg.norm(g_old))
-        d, d_norm, was_reset = cg_direction(g_new, g_old, d_old, u, 3, 50, norm_new, norm_old)
+        d, d_norm, slope, was_reset = search_direction(
+            "cg_restart", g_new, g_new - g_old, d_old, u, 3, 50, norm_new, norm_old
+        )
         g_old_here = project_tangent(u, g_old)
         beta = float(np.sum(g_new * (g_new - g_old_here))) / norm_old**2
         expect = -g_new + beta * project_tangent(u, d_old)
         assert not was_reset and beta > 0.0
         assert np.linalg.norm(d - expect) <= 1e-12 * np.linalg.norm(expect)
         assert d_norm == np.linalg.norm(d)
+
+    def test_cg_solve_shares_one_y(self, monkeypatch):
+        """A cg_restart solve forms y = G - G_prev once per iteration and
+        hands that same array to the direction and to the BB guess."""
+        seen = []
+        direction, bb_initial = search.search_direction, stepsize.bb_initial
+
+        def logged_direction(kind, g, y, *args):
+            seen.append(("direction", y))
+            return direction(kind, g, y, *args)
+
+        def logged_bb_initial(iter_index, s, y, **kwargs):
+            seen.append(("bb", y))
+            return bb_initial(iter_index, s, y, **kwargs)
+
+        monkeypatch.setattr(search, "search_direction", logged_direction)
+        monkeypatch.setattr(stepsize, "bb_initial", logged_bb_initial)
+        config = SolveConfig(
+            epsilon=1e-14, max_iter=30, direction="cg_restart", retraction="geodesic"
+        )
+        result = solve(harmonic_lattice(40, gamma=1.0), random_stiefel(40, 3, 4), config)
+        assert result.iters == 30
+        assert [who for who, _ in seen] == ["direction", "bb"] * 30
+        ys = [y for _, y in seen]
+        assert ys[0] is None and ys[1] is None
+        assert all(y is not None for y in ys[2:])
+        assert all(ys[i] is ys[i + 1] for i in range(0, 60, 2))
 
     def test_cg_descent_across_solve(self):
         model = QuadraticTraceModel(random_symmetric(20, seed=9))
