@@ -39,6 +39,9 @@ class EnergyModel(abc.ABC):
     its fused `evaluate` and its `apply_operator` would bypass a subclass's
     redefinitions; a variant delegates to it instead and, without
     `apply_operator`, is evaluated exactly.
+
+    A read-only frame handed to a model, and the A U handed with it, do not
+    change afterwards, so a model may keep what it formed from them.
     """
 
     # A x for the model's linear operator, or None if the model has none
@@ -126,6 +129,13 @@ class TraceDensityModel(EnergyModel):
     orthogonally invariant.  Without a potential V the density terms are
     absent: E is the trace term alone, minimized by the p lowest
     eigenvectors of A.  The class is final.
+
+    The model keeps one slot for the last read-only frame it evaluated:
+    that frame's rho, and its energy with the A U it was handed (None when
+    A U was formed inside).  Only the same array object, still read-only,
+    is served from the slot, so a frame the solver hands on (a backtracking
+    trial that becomes the next iterate, or the iterate the judge reads)
+    has its rho and energy formed once; a writable frame is never kept.
     """
 
     a: Union[np.ndarray, DirichletLaplacian]
@@ -173,10 +183,16 @@ class TraceDensityModel(EnergyModel):
         return self.a.shape[0]
 
     def density(self, u: np.ndarray) -> np.ndarray:
-        return (u * u).sum(axis=1)
+        """rho_r = sum_i U_ri^2, read-only; formed once per read-only frame."""
+        rho, au, energy = self._held(u)
+        if rho is None:
+            rho = (u * u).sum(axis=1)
+            rho.setflags(write=False)
+            self._hold(u, rho, au, energy)
+        return rho
 
     def value(self, u, au=None):
-        return self._energy(u, au, self._rho(u))
+        return self._energy(u, au, au, self._rho(u))
 
     def euclidean_gradient(self, u):
         return self._gradient(u, self.a @ u, self._rho(u))
@@ -185,27 +201,48 @@ class TraceDensityModel(EnergyModel):
         return self.a @ x
 
     def evaluate(self, u, au=None):
-        if au is None:
-            au = self.a @ u
+        exact = self.a @ u if au is None else au
         rho = self._rho(u)
-        return self._energy(u, au, rho), self._gradient(u, au, rho)
+        return self._energy(u, au, exact, rho), self._gradient(u, exact, rho)
+
+    # (read-only frame, its rho or None, A U handed with its energy, energy or
+    # None); not annotated, so not a dataclass field
+    _last = (None, None, None, None)
+
+    def _held(self, u):
+        """(rho, handed A U, energy) from the slot if it holds the frame `u`
+        and `u` is still read-only, else (None, None, None)."""
+        frame, rho, au, energy = self._last
+        if u is frame and not u.flags.writeable:
+            return rho, au, energy
+        return None, None, None
+
+    def _hold(self, u, rho, au, energy):
+        if not u.flags.writeable:
+            object.__setattr__(self, "_last", (u, rho, au, energy))
 
     def _rho(self, u):
         """The density, or None for a model without the density terms."""
         return None if self.v is None else self.density(u)
 
-    def _energy(self, u, au, rho):
+    def _energy(self, u, handed, au, rho):
+        """E(U) from the product `au` (formed here if None) and the density
+        `rho`; held for the frame `u` with the product it was `handed`."""
+        _, held_au, energy = self._held(u)
+        if energy is not None and held_au is handed:
+            return energy
         if isinstance(self.a, DirichletLaplacian):
-            quad = self.a.kinetic_energy(u)
+            energy = self.a.kinetic_energy(u)
         else:
             if au is None:
                 au = self.a @ u
-            quad = 0.5 * float((u * au).sum())
-        if rho is None:
-            return quad
-        ext = self.h * float(self.v @ rho)
-        inter = 0.5 * self.gamma * self.h * float(rho @ rho)
-        return quad + ext + inter
+            energy = 0.5 * float((u * au).sum())
+        if rho is not None:
+            ext = self.h * float(self.v @ rho)
+            inter = 0.5 * self.gamma * self.h * float(rho @ rho)
+            energy = energy + ext + inter
+        self._hold(u, rho, handed, energy)
+        return energy
 
     def _gradient(self, u, au, rho):
         if rho is None:
@@ -238,7 +275,7 @@ class TraceDensityModel(EnergyModel):
         quad = float((d * ad).sum())
         if self.v is None:
             return quad
-        rho = np.einsum("ij,ij->i", u, u)
+        rho = self.density(u)
         sigma = np.einsum("ij,ij->i", u, d)
         dd = np.einsum("ij,ij->i", d, d)
         weighted = float((self.v + self.gamma * rho) @ dd)

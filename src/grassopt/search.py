@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import stepsize as ss
-from .linalg import LinalgError
+from .linalg import LinalgError, ShapeMismatch
 from .manifold import (
     StiefelPoint,
     ORTHO_TOL,
@@ -184,10 +184,14 @@ def search_direction(
 def _evaluate(model: EnergyModel, u: np.ndarray, au: Optional[np.ndarray]):
     """(energy, U^T grad E, Grassmann gradient, residual) at the frame `u`,
     from the product au = A U when it is given.  U^T grad E is formed once,
-    for the projection and for the judge's correction term.  A non-finite
-    gradient has no tangent projection: U^T grad E and the Grassmann
-    gradient are then None and the residual NaN."""
+    for the projection and for the judge's correction term.  A gradient not
+    of the frame's shape raises ShapeMismatch.  A non-finite gradient has no
+    tangent projection: U^T grad E and the Grassmann gradient are then None
+    and the residual NaN."""
     energy, egrad = model.evaluate(u) if au is None else model.evaluate(u, au)
+    egrad = np.asarray(egrad)
+    if egrad.shape != u.shape:
+        raise ShapeMismatch(f"gradient shape {egrad.shape} != frame shape {u.shape}")
     if not np.isfinite(egrad).all():
         return energy, None, None, math.nan
     ug = u.T @ egrad

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -335,6 +338,148 @@ class TestSuppliedProducts:
 
         assert Wrapper().apply_operator is None
 
+
+def frozen(x):
+    x = np.array(x)
+    x.setflags(write=False)
+    return x
+
+
+class TestFrameCache:
+    """The model's slot for the last read-only frame changes no answer:
+    every method gives the same bits warm as cold, a writable frame is never
+    served from the slot, and an energy is served only with the A U it was
+    formed from."""
+
+    @staticmethod
+    def parts(n, p, stencil, potential, seed):
+        rng = np.random.default_rng(seed)
+        a = DirichletLaplacian(n, 0.1) if stencil else random_symmetric(n, seed)
+        v = rng.standard_normal(n) if potential else None
+        make = lambda: TraceDensityModel(a, v=v, h=0.1, gamma=1.0 if potential else 0.0)
+        u, d = rng.standard_normal((2, n, min(p, n)))
+        return make, u, d
+
+    @staticmethod
+    def calls(u, d, au, ad):
+        """Every method at the frame `u`, as functions of the model; the
+        products A U and A D are the objects `au` and `ad`."""
+        return [
+            lambda m: m.value(u),
+            lambda m: m.value(u, au),
+            lambda m: m.evaluate(u),
+            lambda m: m.evaluate(u, au),
+            lambda m: m.euclidean_gradient(u),
+            lambda m: m.hessian_apply(u, d),
+            lambda m: m.hessian_qform(u, d),
+            lambda m: m.hessian_qform(u, d, ad),
+            lambda m: m.density(u),
+        ]
+
+    @staticmethod
+    def answers(model, calls):
+        """The bytes of each answer of `model` to `calls`, made in turn."""
+        out = []
+        for call in calls:
+            got = call(model)
+            out.extend(np.asarray(x).tobytes() for x in (got if isinstance(got, tuple) else [got]))
+        return out
+
+    @given(
+        n=st.integers(1, 24),
+        p=st.integers(1, 4),
+        stencil=st.booleans(),
+        potential=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_warm_answers_are_cold_answers(self, n, p, stencil, potential, seed):
+        make, u, d = self.parts(n, p, stencil, potential, seed)
+        u, d = frozen(u), frozen(d)
+        model = make()
+        au, ad = frozen(model.a @ u), frozen(model.a @ d)
+        calls = self.calls(u, d, au, ad)
+        # each method on a fresh model, then all of them on one model, twice
+        cold = [x for call in calls for x in self.answers(make(), [call])]
+        assert self.answers(model, calls + calls) == cold + cold
+        # the frame's writable twin is never served from the slot
+        assert self.answers(model, self.calls(np.array(u), d, au, ad)) == cold
+
+    @given(
+        n=st.integers(2, 24),
+        p=st.integers(1, 4),
+        stencil=st.booleans(),
+        potential=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_changed_frame_gives_new_answers(self, n, p, stencil, potential, seed):
+        """A writable frame changed in place between calls, or a read-only
+        one made writable and changed, gives the new frame's answers."""
+        make, u, d = self.parts(n, p, stencil, potential, seed)
+        new = 2.0 * u[::-1]
+        a = make().a
+        want = self.answers(make(), self.calls(frozen(new), d, a @ new, a @ d))
+        for read_only in (False, True):
+            model, frame = make(), np.array(u)
+            frame.setflags(write=not read_only)
+            self.answers(model, self.calls(frame, d, a @ frame, a @ d))
+            frame.setflags(write=True)
+            frame[...] = new
+            assert self.answers(model, self.calls(frame, d, a @ frame, a @ d)) == want
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice], ids=["quadratic", "lattice"])
+    def test_density_is_read_only(self, make, read_only):
+        model = make()
+        u = random_stiefel(model.npts, 2, 3).u
+        rho = model.density(u if read_only else np.array(u))
+        assert not rho.flags.writeable
+        assert (model.density(u) is rho) == read_only
+
+    def test_energy_follows_the_handed_product(self):
+        """On a dense A, one frame evaluated with one A U object and then with
+        another gets the second product's energy, as a fresh model does."""
+        model = QuadraticTraceModel(random_symmetric(12, seed=4))
+        u = random_stiefel(12, 3, 5).u
+        au = model.apply_operator(u)
+        other = (1.0 + 1e-3) * au
+        first = model.value(u, au)
+        assert model.evaluate(u, au)[0] == first
+        assert model.value(u, other) == QuadraticTraceModel(model.a).value(u, other) != first
+        assert model.evaluate(u, other)[0] == model.value(u, other)
+        assert model.value(u) == QuadraticTraceModel(model.a).value(u)
+
+
+    def test_shared_between_threads(self):
+        """Threads that evaluate their own frames on one model get their own
+        frames' answers: the slot is replaced whole and read by identity."""
+        model = small_lattice()
+        frames = [random_stiefel(model.npts, 2, seed).u for seed in range(6)]
+
+        def calls(u):
+            return [lambda m: m.value(u), lambda m: m.evaluate(u), lambda m: m.density(u)]
+
+        want = [self.answers(small_lattice(), calls(u)) for u in frames]
+        wrong = []
+
+        def work(u, expected):
+            for _ in range(200):
+                if self.answers(model, calls(u)) != expected:
+                    wrong.append(u)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=pair) for pair in zip(frames, want)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 class TestStencilOperator:
     """A model on the stencil Laplacian agrees with its dense twin."""

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassopt import (
+    DirichletLaplacian,
     EnergyModel,
     QuadraticTraceModel,
     SolveConfig,
     Status,
     StiefelPoint,
+    TraceDensityModel,
     eigen_oracle,
     grassmann_gradient,
     harmonic_lattice,
@@ -597,6 +599,65 @@ class TestBacktrackingProduct:
         )
 
 
+class TestFormedOnce:
+    """The frame energy and the density are formed once per frame: the
+    accepted backtracking trial's serve the next iterate, and the adaptive
+    iterate's density serves the judge."""
+
+    @staticmethod
+    def count_formed(monkeypatch):
+        """Counters of kinetic energies and densities formed: a density is
+        a new array from `density`, or a row sum of a frame with itself that
+        the quadratic form forms on its own."""
+        counts = {"energy": 0, "density": 0}
+        frames, densities = {}, {}  # by id; the values keep the ids unique
+        kinetic, density, einsum = (
+            DirichletLaplacian.kinetic_energy, TraceDensityModel.density, np.einsum
+        )
+
+        def counted_kinetic(self, u):
+            counts["energy"] += 1
+            return kinetic(self, u)
+
+        def counted_density(self, u):
+            rho = density(self, u)
+            frames[id(u)] = u
+            if id(rho) not in densities:
+                densities[id(rho)] = rho
+                counts["density"] += 1
+            return rho
+
+        def counted_einsum(spec, *operands, **kw):
+            if spec == "ij,ij->i" and operands[0] is operands[1] and id(operands[0]) in frames:
+                counts["density"] += 1
+            return einsum(spec, *operands, **kw)
+
+        monkeypatch.setattr(DirichletLaplacian, "kinetic_energy", counted_kinetic)
+        monkeypatch.setattr(TraceDensityModel, "density", counted_density)
+        monkeypatch.setattr(np, "einsum", counted_einsum)
+        return counts
+
+    def test_backtracking_trial_serves_next_iterate(self, monkeypatch):
+        counts = self.count_formed(monkeypatch)
+        config = SolveConfig(epsilon=1e-14, max_iter=30, strategy="backtracking", first_step=1.0)
+        result = solve(harmonic_lattice(48, gamma=1.0), random_stiefel(48, 3, 23), config)
+        assert result.status is Status.MAX_ITERATIONS
+        steps = result.iters
+        shrinks = sum(rec.backtracks for rec in result.trace)
+        assert shrinks > 0
+        # iterate 0, then one per trial; each later iterate is its accepted trial
+        assert counts == {"energy": 1 + steps + shrinks, "density": 1 + steps + shrinks}
+
+    def test_adaptive_iterate_serves_judge(self, monkeypatch):
+        counts = self.count_formed(monkeypatch)
+        config = SolveConfig(epsilon=1e-14, max_iter=30)
+        result = solve(harmonic_lattice(48, gamma=1.0), random_stiefel(48, 3, 23), config)
+        assert result.status is Status.MAX_ITERATIONS
+        # the carried exit's exact re-evaluation of the last iterate forms its
+        # energy again, with the fresh A U, but not its density
+        assert counts == {"energy": result.iters + 2, "density": result.iters + 1}
+
+
 def nudged(u):
     """The frame `u` scaled off the manifold, read-only as the retractions
     return their frames; no constructor sees it."""
@@ -948,6 +1009,21 @@ class TestFailureHandling:
         result = solve(NanGradient(DIAG123), MIX13, SolveConfig())
         assert result.status is Status.FAILED
         assert "iteration 0: non-finite" in result.diagnostic
+
+
+    @pytest.mark.parametrize("shape", [(9, 3), (3, 3), (10, 2)], ids=["rows", "square", "columns"])
+    def test_wrong_gradient_shape_fails_cleanly(self, shape):
+        """A model gradient that is not of the frame's shape ends the solve
+        failed at iteration 0, whichever dimension is wrong."""
+
+        class WrongShape(Delegate):
+            def euclidean_gradient(self, u):
+                return np.ones(shape)
+
+        model = WrongShape(QuadraticTraceModel(random_symmetric(10, seed=2)))
+        result = solve(model, random_stiefel(10, 3, 1), SolveConfig())
+        assert result.status is Status.FAILED and result.iters == 0
+        assert result.diagnostic == f"iteration 0: gradient shape {shape} != frame shape (10, 3)"
 
 
 class TestSolveProperties:
