@@ -31,11 +31,11 @@ class EnergyModel(abc.ABC):
     roundoff and return the same bits with or without a supplied A D.
 
     `solve` carries A U across QR retractions exactly when the model
-    defines `apply_operator(x) -> A x`, and backtracking then applies A once
-    per trial and no more.  A model that defines it accepts the products A U
-    and A D as `value(u, au)`, `evaluate(u, au)` and `hessian_qform(u, d,
-    ad)`, and returns the same bits with or without them; `hessian_apply(u,
-    d)` forms its own A D.  The concrete `TraceDensityModel` is final, since
+    defines `apply_operator(x) -> A x`, and hands a product in only on that
+    path.  A model that defines it accepts the products A U and A D as
+    `value(u, au)`, `evaluate(u, au)` and `hessian_qform(u, d, ad)`, and
+    returns the same bits with or without them; `hessian_apply(u, d)` forms
+    its own A D.  The concrete `TraceDensityModel` is final, since
     its fused `evaluate` and its `apply_operator` would bypass a subclass's
     redefinitions; a variant delegates to it instead and, without
     `apply_operator`, is evaluated exactly.
@@ -89,8 +89,10 @@ class DirichletLaplacian:
     def __post_init__(self):
         if not _is_count(self.npts):
             raise ValueError(f"npts must be an integer >= 1, got {self.npts!r}")
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"mesh width h must be finite and positive, got {self.h}")
+        with np.errstate(all="ignore"):  # the products scale by 1/h^2, which may be 0 or inf
+            scale = 1.0 / np.float64(self.h) ** 2
+        if not (self.h > 0.0 and 0.0 < scale < math.inf):
+            raise ValueError(f"mesh width h must be positive with 0 < 1/h^2 < inf, got {self.h}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,12 +132,13 @@ class TraceDensityModel(EnergyModel):
     absent: E is the trace term alone, minimized by the p lowest
     eigenvectors of A.  The class is final.
 
-    The model keeps one slot for the last read-only frame it evaluated:
-    that frame's rho, and its energy with the A U it was handed (None when
-    A U was formed inside).  Only the same array object, still read-only,
-    is served from the slot, so a frame the solver hands on (a backtracking
-    trial that becomes the next iterate, or the iterate the judge reads)
-    has its rho and energy formed once; a writable frame is never kept.
+    The model keeps one record of what it formed for the last read-only
+    frame it saw: rho, the exact A U and the energy.  Only the same array
+    object, still read-only, is served from it, so a read-only frame forms
+    each at most once: A U on a dense A once per backtracking trial, whose
+    energy needs it, and on the stencil once per accepted frame, for its
+    gradient.  A product handed in is used as given, and nothing formed
+    from it is kept; a writable frame is never kept.
     """
 
     a: Union[np.ndarray, DirichletLaplacian]
@@ -184,15 +187,14 @@ class TraceDensityModel(EnergyModel):
 
     def density(self, u: np.ndarray) -> np.ndarray:
         """rho_r = sum_i U_ri^2, read-only; formed once per read-only frame."""
-        rho, au, energy = self._held(u)
-        if rho is None:
-            rho = (u * u).sum(axis=1)
+        formed = self._formed(u)
+        if "rho" not in formed:
+            rho = formed["rho"] = (u * u).sum(axis=1)
             rho.setflags(write=False)
-            self._hold(u, rho, au, energy)
-        return rho
+        return formed["rho"]
 
     def value(self, u, au=None):
-        return self._energy(u, au, au, self._rho(u))
+        return self._energy(u, self._formed(u, au), self._rho(u))
 
     def euclidean_gradient(self, u):
         return self._gradient(u, self.a @ u, self._rho(u))
@@ -201,48 +203,51 @@ class TraceDensityModel(EnergyModel):
         return self.a @ x
 
     def evaluate(self, u, au=None):
-        exact = self.a @ u if au is None else au
-        rho = self._rho(u)
-        return self._energy(u, au, exact, rho), self._gradient(u, exact, rho)
+        formed, rho = self._formed(u, au), self._rho(u)
+        return self._energy(u, formed, rho), self._gradient(u, self._product(u, formed), rho)
 
-    # (read-only frame, its rho or None, A U handed with its energy, energy or
-    # None); not annotated, so not a dataclass field
-    _last = (None, None, None, None)
+    _last = (None, None)  # (read-only frame, its record); not a dataclass field
 
-    def _held(self, u):
-        """(rho, handed A U, energy) from the slot if it holds the frame `u`
-        and `u` is still read-only, else (None, None, None)."""
-        frame, rho, au, energy = self._last
+    def _formed(self, u, au=None):
+        """The record of what was formed for the frame `u`: a new one holding
+        a handed product `au`, never kept; else the held one if it is of `u`
+        and `u` is still read-only, or a new one, held if `u` is read-only."""
+        if au is not None:
+            return {"au": au}
+        frame, formed = self._last
         if u is frame and not u.flags.writeable:
-            return rho, au, energy
-        return None, None, None
-
-    def _hold(self, u, rho, au, energy):
+            return formed
+        formed = {}
         if not u.flags.writeable:
-            object.__setattr__(self, "_last", (u, rho, au, energy))
+            object.__setattr__(self, "_last", (u, formed))
+        return formed
+
+    def _product(self, u, formed):
+        """A U from the record `formed` of the frame `u`, formed there once,
+        read-only."""
+        if "au" not in formed:
+            au = formed["au"] = self.a @ u
+            au.setflags(write=False)
+        return formed["au"]
 
     def _rho(self, u):
         """The density, or None for a model without the density terms."""
         return None if self.v is None else self.density(u)
 
-    def _energy(self, u, handed, au, rho):
-        """E(U) from the product `au` (formed here if None) and the density
-        `rho`; held for the frame `u` with the product it was `handed`."""
-        _, held_au, energy = self._held(u)
-        if energy is not None and held_au is handed:
-            return energy
-        if isinstance(self.a, DirichletLaplacian):
-            energy = self.a.kinetic_energy(u)
-        else:
-            if au is None:
-                au = self.a @ u
-            energy = 0.5 * float((u * au).sum())
-        if rho is not None:
-            ext = self.h * float(self.v @ rho)
-            inter = 0.5 * self.gamma * self.h * float(rho @ rho)
-            energy = energy + ext + inter
-        self._hold(u, rho, handed, energy)
-        return energy
+    def _energy(self, u, formed, rho):
+        """E(U) with the density `rho`, formed once for the record `formed` of
+        the frame `u`: from its A U, or on the stencil from the differences."""
+        if "energy" not in formed:
+            if isinstance(self.a, DirichletLaplacian):
+                energy = self.a.kinetic_energy(u)
+            else:
+                energy = 0.5 * float((u * self._product(u, formed)).sum())
+            if rho is not None:
+                ext = self.h * float(self.v @ rho)
+                inter = 0.5 * self.gamma * self.h * float(rho @ rho)
+                energy = energy + ext + inter
+            formed["energy"] = energy
+        return formed["energy"]
 
     def _gradient(self, u, au, rho):
         if rho is None:

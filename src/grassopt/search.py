@@ -13,9 +13,9 @@ raises otherwise leaves no record and counts none of its trials.
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
 next: U_new R = U + t D gives A U_new = (A U + t A D) R^-1, so an iteration
-applies A once, to D.  With backtracking and such a model, each trial
-applies A once, to its frame, and the accepted trial's exact product is
-the next iterate's A U, so an iteration applies A once per trial and no more.
+applies A once, to D.  That is the only path that hands the model a
+product; every other evaluation, backtracking's trials included, lets the
+model form its own.
 
 One rule decides every exit: each exit follows an exact evaluation.  An
 iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,
@@ -212,9 +212,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         and config.retraction == "qr"
         and getattr(model, "apply_operator", None) is not None
     )
-    # A U of `u`: carried, or formed by backtracking's accepted trial
+    # A U of `u` from the recurrence; None when `u` is evaluated exactly
     au: Optional[np.ndarray] = None
-    carried = False  # whether `au` came from the recurrence
     diagnostic = ""  # of the failure about to end the solve
     failed_trials = 0  # trials of a backtracking step that found no acceptable one
     params = config.step_params
@@ -231,9 +230,9 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     tic = time.perf_counter()
     while True:
         try:
-            if carry and not carried:
-                au = model.apply_operator(u)
-            energy, ug, grad, residual = _evaluate(model, u, au)
+            # a carried solve hands the model A U: the recurrence's, or a fresh one
+            product = model.apply_operator(u) if carry and au is None else au
+            energy, ug, grad, residual = _evaluate(model, u, product)
         except (LinalgError, FloatingPointError) as exc:
             diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
         if diagnostic:
@@ -246,11 +245,11 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             status = Status.MAX_ITERATIONS
         else:
             status = None
-        if carried and status is not None:
-            carried, diagnostic = False, ""  # decide it on an exact evaluation
+        if au is not None and status is not None:
+            au, diagnostic = None, ""  # decide it on an exact evaluation
             continue
         # the frame is checked after each exact evaluation of a carried solve, and at exit
-        if status is not Status.FAILED and (status is not None or carry and not carried):
+        if status is not Status.FAILED and (status is not None or carry and au is None):
             defect = ortho_defect(u)
             if not defect <= ORTHO_TOL:
                 status = Status.FAILED
@@ -275,12 +274,11 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
                 decision = ss.adaptive_step(energy, nm.c, slope, hq, t_initial, params, d_norm)
                 if carry:
                     next_u, r_inv = retract_qr_factors(u, direction, decision.t, d_norm)
-                    au = (au + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
-                    carried = au is not None
+                    au = (product + decision.t * ad) @ r_inv if (n + 1) % CARRY_REFRESH else None
                 else:
                     next_u = retraction(u, direction, decision.t)
             elif config.strategy == "backtracking":
-                decision, next_u, au = ss.backtracking_step(
+                decision, next_u = ss.backtracking_step(
                     model,
                     u,
                     direction,
@@ -296,8 +294,8 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
             diagnostic = f"iteration {n}: {exc}"
             failed_trials = exc.trials if isinstance(exc, ss.MaxBacktracks) else 0
-            if carried:
-                carried = False  # report the iterate exactly
+            if au is not None:
+                au = None  # report the iterate exactly
                 continue
             status = Status.FAILED
             break

@@ -220,28 +220,24 @@ def backtracking_step(
     c_ref: float,
     retraction: Retraction,
     g: float,
-) -> tuple[StepDecision, np.ndarray, Optional[np.ndarray]]:
+) -> tuple[StepDecision, np.ndarray]:
     """Shrink t by k until the non-monotone sufficient-decrease condition
     E(ortho(U, D, t)) - C <= eta * t * g holds, where g = <grad, D> is the
     slope along the tangent D at the frame U.  Raises MaxBacktracks after
     MAX_BACKTRACKS shrinks, or as soon as the next shrink would drop t below
     t_min.
 
-    Each trial costs one retraction and one energy evaluation.  With
-    `apply_operator`, a trial applies A once, to its frame U+, and is scored
-    by `value(U+, A U+)`.  Returns the decision, the accepted trial frame and
-    its product A U+ (None for a model without `apply_operator`), so the
-    caller need not recompute either.
+    Each trial costs one retraction and one energy evaluation, `value(U+)`.
+    Returns the decision and the accepted trial frame, so the caller need
+    not retract again; a model that keeps what it formed for that frame
+    serves the next iterate's evaluation from it.
     """
     if g >= 0.0:
         raise NonDescentDirection(f"directional derivative {g:.3e} >= 0")
-    operator = getattr(model, "apply_operator", None)
     t, reason = floored_step(t_initial, params.t_min)
     for count in range(MAX_BACKTRACKS + 1):
         candidate = retraction(u, d, t)
-        au = None if operator is None else operator(candidate)
-        e_trial = model.value(candidate) if au is None else model.value(candidate, au)
-        if e_trial - c_ref <= params.eta * t * g:
+        if model.value(candidate) - c_ref <= params.eta * t * g:
             return (
                 StepDecision(
                     t=t,
@@ -251,7 +247,6 @@ def backtracking_step(
                     backtracks=count,
                 ),
                 candidate,
-                au,
             )
         if count == MAX_BACKTRACKS or t * params.k < params.t_min:
             raise MaxBacktracks(count + 1, t)

@@ -262,6 +262,22 @@ class TestRun:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "length", ["1e-300", "1e-160"], ids=["square-underflows", "scale-overflows"]
+    )
+    def test_tiny_lattice_length_rejected(self, tmp_path, capsys, length):
+        """A mesh width whose 1/h^2 is not a finite positive float ends the
+        run with an error line, not a traceback or a failed solve."""
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", "lattice", "--npts", "8", "--p", "2", "--length", length,
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh width")
+        assert not out.exists()
+
     def test_non_finite_matrix_file_rejected(self, tmp_path, capsys):
         mfile = tmp_path / "mat.txt"
         mfile.write_text("2\n1 nan\nnan 1\n")

@@ -145,6 +145,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             DirichletLaplacian(npts, h)
 
+    @pytest.mark.parametrize(
+        "h",
+        [1e-300, 1e-160, 1e200],
+        ids=["square-underflows", "scale-overflows", "scale-underflows"],
+    )
+    def test_laplacian_rejects_mesh_width_without_finite_scale(self, h):
+        """The products scale by 1/h^2, which must be a finite positive float."""
+        with pytest.raises(ValueError, match="mesh width"):
+            DirichletLaplacian(4, h)
+
+    def test_laplacian_accepts_small_mesh_width_with_finite_scale(self):
+        assert np.isfinite(DirichletLaplacian(4, 1e-150) @ np.ones((4, 1))).all()
+
+    def test_harmonic_lattice_rejects_tiny_length(self):
+        with pytest.raises(ValueError, match="mesh width"):
+            harmonic_lattice(8, length=1e-300)
+
     @pytest.mark.parametrize("npts", [0, -1, 3.0])
     def test_harmonic_lattice_rejects_bad_size(self, npts):
         with pytest.raises(ValueError, match="npts"):
@@ -346,10 +363,9 @@ def frozen(x):
 
 
 class TestFrameCache:
-    """The model's slot for the last read-only frame changes no answer:
+    """The model's record for the last read-only frame changes no answer:
     every method gives the same bits warm as cold, a writable frame is never
-    served from the slot, and an energy is served only with the A U it was
-    formed from."""
+    served from the record, and nothing formed from a handed A U is kept."""
 
     @staticmethod
     def parts(n, p, stencil, potential, seed):
@@ -450,6 +466,19 @@ class TestFrameCache:
         assert model.evaluate(u, other)[0] == model.value(u, other)
         assert model.value(u) == QuadraticTraceModel(model.a).value(u)
 
+    @pytest.mark.parametrize("potential", [False, True], ids=["trace", "density"])
+    @pytest.mark.parametrize("stencil", [False, True], ids=["dense", "stencil"])
+    def test_handed_product_is_not_kept(self, stencil, potential):
+        """A product handed in with a read-only frame is used as given, and
+        nothing formed from it is kept: afterwards the model answers as a
+        fresh one does."""
+        make, u, _ = self.parts(12, 3, stencil, potential, seed=7)
+        u, model = frozen(u), make()
+        perturbed = frozen((1.0 + 1e-3) * (model.a @ u))
+        handed = lambda m: m.evaluate(u, perturbed)
+        assert self.answers(model, [handed]) == self.answers(make(), [handed])
+        exact = [lambda m: m.value(u), lambda m: m.evaluate(u)]
+        assert self.answers(model, exact) == self.answers(make(), exact)
 
     def test_shared_between_threads(self):
         """Threads that evaluate their own frames on one model get their own

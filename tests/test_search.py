@@ -546,27 +546,61 @@ class TestCarriedProduct:
         assert model.seen and all(au is None for _, au in model.seen)
 
 
-class TestBacktrackingProduct:
-    """Backtracking on a model with apply_operator applies A once per trial
-    and hands the accepted trial's exact A U+ to the next iterate."""
+class CountedMatrix(np.ndarray):
+    """A dense matrix, viewed as this type, that logs the operand of each
+    product A X in `operands`."""
 
-    def test_supplied_products_are_exact_and_reused(self):
-        model = CarriedLog(harmonic_lattice(48))
-        config = SolveConfig(epsilon=1e-14, max_iter=20, strategy="backtracking")
-        result = solve(model, random_stiefel(48, 3, 23), config)
+    def __matmul__(self, x):
+        self.operands.append(x)
+        return np.asarray(self) @ x
+
+
+class TestBacktrackingProduct:
+    """Backtracking hands the model no product: the model forms each
+    frame's A U at most once, and the accepted trial's serves the next
+    iterate."""
+
+    CONFIG = SolveConfig(epsilon=1e-14, max_iter=30, strategy="backtracking", first_step=1.0)
+
+    def solve_logged(self, model, u0):
+        """(result, logged model) of a backtracking solve that shrinks."""
+        logged = CarriedLog(model)
+        result = solve(logged, u0, self.CONFIG)
         assert result.status is Status.MAX_ITERATIONS
-        for u, au in model.seen + model.valued:
-            if au is not None:
-                npt.assert_array_equal(au, model.model.a @ u)
-        # iterate 0 is evaluated exactly, every later one with a supplied product
-        assert len(model.seen) == result.iters + 1
-        assert model.seen[0][1] is None
-        assert all(au is not None for _, au in model.seen[1:])
-        # ... namely the one its accepted trial was scored with
-        accepted = np.cumsum([rec.backtracks + 1 for rec in result.trace]) - 1
-        assert len(model.valued) == accepted[-1] + 1
-        for (u, au), k in zip(model.seen[1:], accepted):
-            assert u is model.valued[k][0] and au is model.valued[k][1]
+        assert sum(rec.backtracks for rec in result.trace) > 0
+        assert all(au is None for _, au in logged.seen + logged.valued)
+        return result, logged
+
+    def test_stencil_is_applied_once_per_iterate(self, monkeypatch):
+        """Trials are scored from the differences; only an iterate's gradient
+        applies the stencil, once, to its frame: 1 + k products for k steps,
+        whatever the shrinks."""
+        applied = []
+        matmul = DirichletLaplacian.__matmul__
+
+        def logged_matmul(self, x):
+            applied.append(x)
+            return matmul(self, x)
+
+        monkeypatch.setattr(DirichletLaplacian, "__matmul__", logged_matmul)
+        lattice = harmonic_lattice(48, gamma=1.0)
+        result, logged = self.solve_logged(lattice, random_stiefel(48, 3, 23))
+        assert len(applied) == 1 + result.iters == len(logged.seen)
+        assert all(x is u for x, (u, _) in zip(applied, logged.seen))
+
+    def test_dense_product_formed_once_per_trial(self):
+        """On a dense A each trial's energy forms its product, and the
+        accepted trial's is not formed again for the next iterate: 1 + k + b
+        products for k steps and b shrinks."""
+        model = QuadraticTraceModel(random_symmetric(60, seed=4))
+        counted = model.a.view(CountedMatrix)
+        counted.operands = []
+        object.__setattr__(model, "a", counted)
+        result, logged = self.solve_logged(model, random_stiefel(60, 3, 22))
+        trials = sum(rec.backtracks + 1 for rec in result.trace)
+        assert len(counted.operands) == 1 + trials
+        frames = [logged.seen[0][0]] + [u for u, _ in logged.valued]
+        assert all(x is u for x, u in zip(counted.operands, frames))
 
     @pytest.mark.parametrize(
         "kwargs",
