@@ -1,32 +1,37 @@
-"""Interleaved A/B timing of the benchmark's solves: this checkout against another.
+"""Interleaved A/B timing and bit-identity check of the benchmark's solves.
 
-    python3 scripts/abtime.py --parent DIR [--workload W] [--seed N] [--rounds R]
+    python3 scripts/abtime.py --parent DIR [--workload W]... [--seed N]... [--rounds R]
 
-DIR is a second checkout of the repository, for instance of the parent
-commit made with `git archive`.  The package and the benchmark's workloads
-are loaded from DIR/src and DIR/perfbench and from this checkout's src and
-perfbench, under separate module names, into one process, and one BLAS
-thread is pinned before numpy is imported.  Each round solves every job of
-each workload (all three by default, seed 1) with both trees, one right
-after the other, alternating which tree goes first, so drift of the host
-between runs falls on both alike.
+DIR is another checkout, for instance of the parent commit made with `git
+archive`, or `.` for this tree against itself.  Both trees' package and
+perfbench workloads are loaded into one process under separate module
+names, with one BLAS thread pinned before numpy is imported (`quad-dense`
+trajectories change with the thread count).  Each round solves every job of
+each workload (default all three) and seed (default 1) with both trees in
+turn, alternating which goes first, so drift of the host falls on both.
 
-For each workload and strategy the script prints the median and quartiles
-of the ms/iter ratio (this checkout over DIR), one ratio per job and round,
-and the share of those pairs on which this checkout was faster.  It exits 1
-if the two trees take different numbers of iterations on a job: the timing
-then compares different work.  It reads perfbench/ and writes nothing.
+Each solve is digested after its clock stops: a SHA-256 of its status,
+iterations, trace without `elapsed`, final-frame bytes, energy, residual,
+both counters and diagnostic.  Per workload and seed the script prints how
+many jobs are bit-identical to DIR and, per strategy, the median and
+quartiles of the ms/iter ratio (this checkout over DIR, one per job and
+round) and how often this checkout was faster.  It exits 1 if the trees
+take different iterations on a job (the timing would compare different
+work), or if a job's digest in a later round differs from round 0 in either
+tree (a model kept state from one solve to the next).  It writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import os
 import statistics
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,13 +66,30 @@ def load_tree(root: Path, tag: str):
     return package, workloads
 
 
-def timed_solve(package, job) -> tuple[int, float]:
-    """(iterations, ms per iteration) of one solve of `job`."""
+def digest(result) -> str:
+    trace = [astuple(rec)[:-1] for rec in result.trace]  # elapsed is last
+    fields = (
+        result.status.value,
+        result.iters,
+        trace,
+        result.final_energy,
+        result.final_residual,
+        result.total_energy_evals,
+        result.total_retraction_evals,
+        result.diagnostic,
+    )
+    h = hashlib.sha256(repr(fields).encode())
+    h.update(result.final_point.u.tobytes())
+    return h.hexdigest()
+
+
+def timed_solve(package, job) -> tuple[int, float, str]:
+    """(iterations, ms per iteration, digest) of one solve of `job`."""
     gc.collect()
     tic = time.perf_counter()
     result = package.solve(job.instance.model, job.instance.u0, job.config)
     elapsed = time.perf_counter() - tic
-    return result.iters, 1e3 * elapsed / max(result.iters, 1)
+    return result.iters, 1e3 * elapsed / max(result.iters, 1), digest(result)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,11 +99,53 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare(trees, name: str, seed: int, rounds: int) -> int:
+    """Solve every job of the workload `name` at `seed` with both trees,
+    (parent, this checkout) as returned by `load_tree`, in `rounds` rounds
+    and print the comparison.  Returns the number of faults: solves whose
+    iteration counts differ between the trees, and solves whose digest
+    differs from the same tree's in round 0."""
+    jobs = [workloads.WORKLOADS[name](seed) for _, workloads in trees]
+    first: list[tuple[str, str]] = []  # the two trees' round-0 digests, per job
+    ratios: dict[str, list[float]] = {}
+    faults = 0
+    for r in range(rounds):
+        for i, pair in enumerate(zip(*jobs)):
+            order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
+            runs = {side: timed_solve(trees[side][0], pair[side]) for side in order}
+            iters, ms, digests = zip(runs[0], runs[1])  # each (parent, this checkout)
+            if r == 0:
+                first.append(digests)
+            label = f"{name} seed={seed} job={i} {pair[1].strategy} [{pair[1].instance.label}]"
+            for tree, now, then in zip(("parent", "this checkout"), digests, first[i]):
+                if now != then:
+                    faults += 1
+                    print(f"abtime: {label}: {tree} round {r} differs from round 0",
+                          file=sys.stderr)
+            if iters[0] != iters[1]:
+                faults += 1
+                print(f"abtime: {label}: {iters[1]} iterations, parent {iters[0]}",
+                      file=sys.stderr)
+            ratio = ms[1] / ms[0]
+            ratios.setdefault(pair[1].strategy, []).append(ratio)
+            bits = "" if digests[0] == digests[1] else ", bits differ"
+            print(f"round {r} {label}: {iters[1]} iters, ms/iter "
+                  f"{ms[0]:.4f} -> {ms[1]:.4f}, ratio {ratio:.3f}{bits}")
+    same = sum(parent == change for parent, change in first)
+    print(f"abtime: {name} seed={seed}: {same}/{len(first)} jobs bit-identical to the parent")
+    for strategy, values in ratios.items():
+        q1, median, q3 = quartiles(values)
+        faster = sum(v < 1.0 for v in values)
+        print(f"abtime: {name} seed={seed} {strategy}: ms/iter ratio median "
+              f"{median:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], faster on {faster}/{len(values)}")
+    return faults
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="the checkout to compare against")
     ap.add_argument("--workload", action="append", choices=WORKLOAD_NAMES)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", action="append", type=int)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
     if args.rounds < 1:
@@ -93,30 +157,12 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy is first imported
     trees = (load_tree(args.parent.resolve(), "parent"), load_tree(ROOT, "change"))
-
-    mismatched = 0
-    for name in args.workload or WORKLOAD_NAMES:
-        jobs = [workloads.WORKLOADS[name](args.seed) for _, workloads in trees]
-        ratios: dict[str, list[float]] = {}
-        for r in range(args.rounds):
-            for i, pair in enumerate(zip(*jobs)):
-                order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
-                runs = {side: timed_solve(trees[side][0], pair[side]) for side in order}
-                (iters_parent, ms_parent), (iters_change, ms_change) = runs[0], runs[1]
-                label = f"{name} job={i} {pair[1].strategy} [{pair[1].instance.label}]"
-                if iters_parent != iters_change:
-                    mismatched += 1
-                    print(f"abtime: {label}: {iters_change} iterations, parent {iters_parent}",
-                          file=sys.stderr)
-                ratios.setdefault(pair[1].strategy, []).append(ms_change / ms_parent)
-                print(f"round {r} {label}: {iters_change} iters, ms/iter "
-                      f"{ms_parent:.4f} -> {ms_change:.4f}, ratio {ms_change / ms_parent:.3f}")
-        for strategy, values in ratios.items():
-            q1, median, q3 = quartiles(values)
-            faster = sum(v < 1.0 for v in values)
-            print(f"abtime: {name} seed={args.seed} {strategy}: ms/iter ratio median "
-                  f"{median:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], faster on {faster}/{len(values)}")
-    return 1 if mismatched else 0
+    faults = sum(
+        compare(trees, name, seed, args.rounds)
+        for name in args.workload or WORKLOAD_NAMES
+        for seed in args.seed or (1,)
+    )
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -197,7 +197,7 @@ class TraceDensityModel(EnergyModel):
         return self._energy(u, self._formed(u, au), self._rho(u))
 
     def euclidean_gradient(self, u):
-        return self._gradient(u, self.a @ u, self._rho(u))
+        return self._gradient(u, self._product(u, self._formed(u)), self._rho(u))
 
     def apply_operator(self, x):
         return self.a @ x
@@ -304,7 +304,8 @@ def harmonic_lattice(
         raise ValueError(f"npts must be an integer >= 1, got {npts!r}")
     h = length / (npts + 1)
     x = h * np.arange(1, npts + 1)
-    v = 0.5 * well * (x - 0.5 * length) ** 2
+    with np.errstate(all="ignore"):  # an overflow (or 0 * inf) is named by the checks below
+        v = 0.5 * well * (x - 0.5 * length) ** 2
     return TraceDensityModel(a=DirichletLaplacian(npts, h), v=v, h=h, gamma=gamma)
 
 

@@ -233,8 +233,9 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             # a carried solve hands the model A U: the recurrence's, or a fresh one
             product = model.apply_operator(u) if carry and au is None else au
             energy, ug, grad, residual = _evaluate(model, u, product)
-        except (LinalgError, FloatingPointError) as exc:
+        except (LinalgError, FloatingPointError, RuntimeWarning) as exc:
             diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
+            energy = residual = math.nan  # not the previous iterate's
         if diagnostic:
             status = Status.FAILED
         elif not (math.isfinite(energy) and math.isfinite(residual)):
@@ -291,7 +292,7 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             else:  # strategy == "none": accept the initial guess unjudged
                 decision = ss.unjudged_step(t_initial, params)
                 next_u = retraction(u, direction, decision.t)
-        except (LinalgError, ss.MaxBacktracks, FloatingPointError) as exc:
+        except (LinalgError, ss.MaxBacktracks, FloatingPointError, RuntimeWarning) as exc:
             diagnostic = f"iteration {n}: {exc}"
             failed_trials = exc.trials if isinstance(exc, ss.MaxBacktracks) else 0
             if au is not None:

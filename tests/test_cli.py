@@ -278,6 +278,25 @@ class TestRun:
         assert err.startswith("error: mesh width")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("--problem lattice --npts 16 --p 2 --well 1e300", "iteration 0: overflow"),
+            ("--problem lattice --npts 16 --p 2 --gamma 1e200", "iteration 0: overflow"),
+            ("--n 20 --p 2 --first-step 1e308 --strategy none", "iteration 0: overflow"),
+            ("--n 20 --p 2 --first-step 1e308 --strategy backtracking", "iteration 0: overflow"),
+            ("--problem lattice --npts 16 --p 2 --length 1e300", "mesh width"),
+            ("--problem lattice --npts 16 --p 2 --well 1e308", "potential has non-finite"),
+        ],
+    )
+    def test_blowup_exits_1_with_warnings_as_errors(self, tmp_path, capsys, args, message):
+        """A numerical blowup ends the run with exit status 1 and an error
+        line naming it, not a RuntimeWarning traceback."""
+        code = run_cli("run", *args.split(), "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_non_finite_matrix_file_rejected(self, tmp_path, capsys):
         mfile = tmp_path / "mat.txt"
         mfile.write_text("2\n1 nan\nnan 1\n")

@@ -99,6 +99,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             harmonic_lattice(8, **kwargs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"length": 1e300}, "mesh width"), ({"well": 1e308}, "potential"),
+         ({"npts": 1000, "length": 1e156, "well": 0.0}, "potential")],
+        ids=["mesh-width", "well", "zero-well"],
+    )
+    def test_harmonic_lattice_names_an_overflow(self, kwargs, named):
+        """A potential that overflows (or is 0 * inf) is named by the
+        constructors' checks, also when RuntimeWarnings are raised as errors."""
+        with pytest.raises(ValueError, match=named):
+            harmonic_lattice(**{"npts": 8, **kwargs})
+
     def test_harmonic_lattice_shapes(self):
         model = harmonic_lattice(16, length=8.0)
         assert model.npts == 16
@@ -479,6 +492,18 @@ class TestFrameCache:
         assert self.answers(model, [handed]) == self.answers(make(), [handed])
         exact = [lambda m: m.value(u), lambda m: m.evaluate(u)]
         assert self.answers(model, exact) == self.answers(make(), exact)
+
+    def test_gradient_and_value_form_one_product(self):
+        """On a dense A, the gradient and then the value of one read-only
+        frame form A U once: without a potential the gradient is that
+        product, and every later call hands back the same object."""
+        model = QuadraticTraceModel(random_symmetric(12, seed=4))
+        point = random_stiefel(12, 3, 5)
+        grad = model.euclidean_gradient(point.u)
+        grassmann_gradient(model, point)
+        model.value(point.u)
+        assert model.euclidean_gradient(point.u) is grad
+        assert model.evaluate(point.u)[1] is grad
 
     def test_shared_between_threads(self):
         """Threads that evaluate their own frames on one model get their own

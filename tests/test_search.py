@@ -1044,6 +1044,45 @@ class TestFailureHandling:
         assert result.status is Status.FAILED
         assert "iteration 0: non-finite" in result.diagnostic
 
+    def test_raising_evaluation_reports_no_earlier_energy(self):
+        """An evaluation that raises at iteration 3 ends the solve failed
+        there, with NaN energy and residual: the returned frame is iterate
+        3, and the last values the solve has are iterate 2's."""
+
+        class FailsFourth(Delegate):
+            calls = 0
+
+            def evaluate(self, u, au=None):
+                self.calls += 1
+                if self.calls == 4:
+                    raise LinalgError("injected")
+                return super().evaluate(u)
+
+        model = FailsFourth(QuadraticTraceModel(random_symmetric(20, 1)))
+        result = solve(model, random_stiefel(20, 3, 0), SolveConfig(strategy="backtracking"))
+        assert result.status is Status.FAILED and result.iters == 3
+        assert result.diagnostic == "iteration 3: injected"
+        assert np.isnan(result.final_energy) and np.isnan(result.final_residual)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "model, strategy, first_step",
+        [
+            (harmonic_lattice(16, well=1e300), "adaptive", 1e-2),
+            (harmonic_lattice(16, well=1e300), "backtracking", 1e-2),
+            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "backtracking", 1e308),
+            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "none", 1e308),
+        ],
+        ids=["evaluation-adaptive", "evaluation-backtracking", "step-backtracking", "step-none"],
+    )
+    def test_overflow_fails_cleanly_with_warnings_as_errors(self, model, strategy, first_step):
+        """An overflow in an evaluation or in U + tD ends the solve failed at
+        iteration 0, also when RuntimeWarnings are raised as errors."""
+        config = SolveConfig(strategy=strategy, first_step=first_step)
+        result = solve(model, random_stiefel(model.npts, 2, 0), config)
+        assert result.status is Status.FAILED and result.iters == 0
+        assert result.diagnostic.startswith("iteration 0: overflow encountered")
+
 
     @pytest.mark.parametrize("shape", [(9, 3), (3, 3), (10, 2)], ids=["rows", "square", "columns"])
     def test_wrong_gradient_shape_fails_cleanly(self, shape):
