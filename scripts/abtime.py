@@ -1,4 +1,4 @@
-"""Interleaved A/B timing and bit-identity check of the benchmark's solves.
+"""Interleaved A/B timing, bit-identity and output check of the benchmark's solves.
 
     python3 scripts/abtime.py --parent DIR [--workload W]... [--seed N]... [--rounds R]
 
@@ -10,15 +10,17 @@ trajectories change with the thread count).  Each round solves every job of
 each workload (default all three) and seed (default 1) with both trees in
 turn, alternating which goes first, so drift of the host falls on both.
 
-Each solve is digested after its clock stops: a SHA-256 of its status,
+After its clock stops, each solve is digested (a SHA-256 of its status,
 iterations, trace without `elapsed`, final-frame bytes, energy, residual,
-both counters and diagnostic.  Per workload and seed the script prints how
-many jobs are bit-identical to DIR and, per strategy, the median and
-quartiles of the ms/iter ratio (this checkout over DIR, one per job and
-round) and how often this checkout was faster.  It exits 1 if the trees
-take different iterations on a job (the timing would compare different
-work), or if a job's digest in a later round differs from round 0 in either
-tree (a model kept state from one solve to the next).  It writes nothing.
+both counters and diagnostic) and its output is checked by that tree's
+`workloads.check`, the benchmark's own output check.  Per workload and seed
+the script prints how many jobs are bit-identical to DIR and, per strategy,
+the median and quartiles of the ms/iter ratio (this checkout over DIR, one
+per job and round) and how often this checkout was faster.  It exits 1 if
+the trees take different iterations on a job (the timing would compare
+different work), if a job's digest in a later round differs from round 0 in
+either tree (a model kept state from one solve to the next), or if the
+check finds a solve's output wrong.  It writes nothing.
 """
 
 from __future__ import annotations
@@ -83,13 +85,17 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def timed_solve(package, job) -> tuple[int, float, str]:
-    """(iterations, ms per iteration, digest) of one solve of `job`."""
+def timed_solve(tree, job) -> tuple[int, float, str, str]:
+    """(iterations, ms per iteration, digest, what is wrong with the output
+    by the tree's own `workloads.check`, "" if nothing) of one solve of
+    `job` with `tree`, a (package, workloads module) pair."""
+    package, workloads = tree
     gc.collect()
     tic = time.perf_counter()
     result = package.solve(job.instance.model, job.instance.u0, job.config)
     elapsed = time.perf_counter() - tic
-    return result.iters, 1e3 * elapsed / max(result.iters, 1), digest(result)
+    ms = 1e3 * elapsed / max(result.iters, 1)
+    return result.iters, ms, digest(result), workloads.check(job, result)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,8 +109,9 @@ def compare(trees, name: str, seed: int, rounds: int) -> int:
     """Solve every job of the workload `name` at `seed` with both trees,
     (parent, this checkout) as returned by `load_tree`, in `rounds` rounds
     and print the comparison.  Returns the number of faults: solves whose
-    iteration counts differ between the trees, and solves whose digest
-    differs from the same tree's in round 0."""
+    iteration counts differ between the trees, solves whose digest differs
+    from the same tree's in round 0, and solves whose output the tree's own
+    `workloads.check` finds wrong."""
     jobs = [workloads.WORKLOADS[name](seed) for _, workloads in trees]
     first: list[tuple[str, str]] = []  # the two trees' round-0 digests, per job
     ratios: dict[str, list[float]] = {}
@@ -112,15 +119,20 @@ def compare(trees, name: str, seed: int, rounds: int) -> int:
     for r in range(rounds):
         for i, pair in enumerate(zip(*jobs)):
             order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
-            runs = {side: timed_solve(trees[side][0], pair[side]) for side in order}
-            iters, ms, digests = zip(runs[0], runs[1])  # each (parent, this checkout)
+            runs = {side: timed_solve(trees[side], pair[side]) for side in order}
+            iters, ms, digests, wrong = zip(runs[0], runs[1])  # each (parent, this checkout)
             if r == 0:
                 first.append(digests)
             label = f"{name} seed={seed} job={i} {pair[1].strategy} [{pair[1].instance.label}]"
-            for tree, now, then in zip(("parent", "this checkout"), digests, first[i]):
+            sides = zip(("parent", "this checkout"), digests, first[i], wrong)
+            for tree, now, then, fault in sides:
                 if now != then:
                     faults += 1
                     print(f"abtime: {label}: {tree} round {r} differs from round 0",
+                          file=sys.stderr)
+                if fault:
+                    faults += 1
+                    print(f"abtime: {label}: {tree} round {r} output wrong: {fault}",
                           file=sys.stderr)
             if iters[0] != iters[1]:
                 faults += 1

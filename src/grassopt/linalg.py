@@ -48,13 +48,13 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
     n, p = a.shape
     if n < p:
         raise ShapeMismatch(f"thin_qr needs n >= p, got {n}x{p}")
+    if not np.isfinite(a).all():
+        raise ConvergenceFailure("non-finite input to thin_qr")
     q, r = np.linalg.qr(a, mode="reduced")
     try:
         sv = np.linalg.svd(r, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if not np.isfinite(sv).all():
-        raise ConvergenceFailure("non-finite input to thin_qr")
     if p > 0 and sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(
             f"smallest singular value {sv[-1]:.3e} below {RANK_TOL:g} * {sv[0]:.3e}"

@@ -8,8 +8,7 @@ retractions are provided: QR-based and the exact geodesic.
 their constructors check the invariant (U^T U = I, U^T D = 0) on a frozen
 copy.  The kernels below work on plain n-by-p arrays and check neither
 invariant; the frames the retractions compute are made read-only in place.
-`solve` checks the orthonormality of its iterates at entry, at exact
-refreshes and at exit.
+`solve` checks the orthonormality of its iterate at entry and at exit.
 """
 
 from __future__ import annotations
@@ -124,15 +123,17 @@ def retract_qr_factors(
     transposed Cholesky factor of G = (U + t D)^T (U + t D) and
     U_new = (U + t D) R^-1, the same sign-fixed factors as Householder's up
     to roundoff.  Beyond it, Householder QR (thin_qr).  Raises
-    ConvergenceFailure on non-finite input and RankDeficient when G is not
-    positive definite.
+    ConvergenceFailure when the step |t| ||D||_F or the input is not finite,
+    and RankDeficient when G is not positive definite.
     """
     if t == 0.0:
         return u, np.eye(u.shape[1])
-    if d_norm is None:
-        d_norm = frobenius_norm(d)
+    # a Python float: it overflows to inf without a warning
+    step = abs(float(t)) * float(frobenius_norm(d) if d_norm is None else d_norm)
+    if not math.isfinite(step):
+        raise ConvergenceFailure(f"QR retraction: step |t| ||D||_F = {step:.3e} is not finite")
     x = u + t * d
-    if abs(t) * d_norm > CHOLESKY_QR_MAX_STEP:
+    if step > CHOLESKY_QR_MAX_STEP:
         q, r = thin_qr(x)
         r_inv = np.linalg.inv(r)
     else:
@@ -155,10 +156,16 @@ def retract_geodesic(u: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
     D = A diag(s) B^T, the frame U B cos(s t) B^T + A sin(s t) B^T is formed
     as the update U + (U B (cos(s t) - I) + A sin(s t)) B^T, cos - 1 written
     as -2 sin^2(s t / 2).  Its rounding shrinks with t; the round trip U B B^T
-    adds about eps ||U|| at any t, which can swamp a small trial's decrease."""
+    adds about eps ||U|| at any t, which can swamp a small trial's decrease.
+    Raises ConvergenceFailure when the step |t| sigma_max(D) is not finite."""
     if t == 0.0:
         return u
     a, s, qt = svd_thin(d)  # d = a @ diag(s) @ b.T
+    step = abs(float(t)) * float(s.max(initial=0.0))  # overflows to inf without a warning
+    if not math.isfinite(step):
+        raise ConvergenceFailure(
+            f"geodesic retraction: step |t| sigma_max = {step:.3e} is not finite"
+        )
     b = qt.T
     st = s * t
     half = np.sin(0.5 * st)

@@ -22,15 +22,16 @@ iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,
 and whenever its carried evaluation would end the loop, by a stop condition
 or a failed step.  In that last case the loop goes round once more on the
 same iterate, which still counts as one evaluation, and a failed step is
-not retried.
+not retried.  The tail after the loop decides the status: FAILED on a
+diagnosed failure, else CONVERGED if the residual is at most epsilon, else
+MAX_ITERATIONS.
 
 Typed frames stay at the edge: `solve` takes a StiefelPoint and returns
 one, and inside the loop frames, gradients and directions are plain n-by-p
 arrays.  The frames and directions handed to the model are read-only.  The
-orthonormality of the iterate is checked at entry, after every exact
-evaluation of a carried solve, and at any exit that is not already a
-failure.  A defect above ORTHO_TOL ends the solve as FAILED, with that
-frame's own energy and residual.
+iterate's orthonormality is checked at entry and, by the tail, at any exit
+that is not already a failure: a defect above ORTHO_TOL ends the solve as
+FAILED, with that frame's own energy and residual.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ RETRACTIONS = ("qr", "geodesic")
 # CG safeguards: descent slack and direction-growth bound
 _CG_DESCENT_TOL = 1e-12
 _CG_GROWTH = 1e3
+
+# what ends a solve as FAILED, not in a traceback (RuntimeWarning: warnings as errors)
+NUMERICAL_FAILURES = (LinalgError, FloatingPointError, RuntimeWarning)
 
 # Iterations between exact products A U when A U is carried.  The relative
 # drift of the carried product, ||A U_carried - A U||_F / ||A U||_F, grows
@@ -226,37 +230,25 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
     trace: list[IterationRecord] = []
 
     n = 0
-    energy = residual = math.nan
+    exact = False  # whether the last evaluation was of `u` exactly
     tic = time.perf_counter()
     while True:
-        try:
-            # a carried solve hands the model A U: the recurrence's, or a fresh one
-            product = model.apply_operator(u) if carry and au is None else au
-            energy, ug, grad, residual = _evaluate(model, u, product)
-        except (LinalgError, FloatingPointError, RuntimeWarning) as exc:
-            diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
-            energy = residual = math.nan  # not the previous iterate's
-        if diagnostic:
-            status = Status.FAILED
-        elif not (math.isfinite(energy) and math.isfinite(residual)):
-            status, diagnostic = Status.FAILED, f"iteration {n}: non-finite energy or residual"
-        elif residual <= config.epsilon:
-            status = Status.CONVERGED
-        elif n >= config.max_iter:
-            status = Status.MAX_ITERATIONS
-        else:
-            status = None
-        if au is not None and status is not None:
+        if not (diagnostic and exact):  # a failed step on an exact path keeps its values
+            exact = au is None
+            try:
+                # a carried solve hands the model A U: the recurrence's, or a fresh one
+                product = model.apply_operator(u) if carry and exact else au
+                energy, ug, grad, residual = _evaluate(model, u, product)
+            except NUMERICAL_FAILURES as exc:
+                diagnostic = diagnostic or f"iteration {n}: {exc}"  # a failed step's stays first
+                energy = residual = math.nan  # not the previous iterate's
+            if not (diagnostic or math.isfinite(energy) and math.isfinite(residual)):
+                diagnostic = f"iteration {n}: non-finite energy or residual"
+        if diagnostic or residual <= config.epsilon or n >= config.max_iter:
+            if exact:
+                break
             au, diagnostic = None, ""  # decide it on an exact evaluation
             continue
-        # the frame is checked after each exact evaluation of a carried solve, and at exit
-        if status is not Status.FAILED and (status is not None or carry and au is None):
-            defect = ortho_defect(u)
-            if not defect <= ORTHO_TOL:
-                status = Status.FAILED
-                diagnostic = f"iteration {n}: orthonormality defect {defect:.3e}"
-        if status is not None:
-            break
         nm = ss.initial_nm_state(config.alpha, energy) if nm is None else ss.nm_update(nm, energy)
 
         s, y = (None, None) if g_prev is None else (u - prev_u, grad - g_prev)
@@ -292,14 +284,11 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
             else:  # strategy == "none": accept the initial guess unjudged
                 decision = ss.unjudged_step(t_initial, params)
                 next_u = retraction(u, direction, decision.t)
-        except (LinalgError, ss.MaxBacktracks, FloatingPointError, RuntimeWarning) as exc:
+        except (*NUMERICAL_FAILURES, ss.MaxBacktracks) as exc:
             diagnostic = f"iteration {n}: {exc}"
             failed_trials = exc.trials if isinstance(exc, ss.MaxBacktracks) else 0
-            if au is not None:
-                au = None  # report the iterate exactly
-                continue
-            status = Status.FAILED
-            break
+            au = None  # a carried iterate is reported exactly; the step is not retried
+            continue
 
         trace.append(
             IterationRecord(
@@ -319,12 +308,16 @@ def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveRes
         u, n = next_u, n + 1
         tic = time.perf_counter()
 
-    if status is Status.FAILED:
-        # the frame a failure stopped at may be what failed: report it unchecked
-        final_point = object.__new__(StiefelPoint)
-        object.__setattr__(final_point, "u", u)
-    else:
-        final_point = StiefelPoint(u)
+    if not diagnostic:
+        defect = ortho_defect(u)
+        if not defect <= ORTHO_TOL:  # NaN fails too
+            diagnostic = f"iteration {n}: orthonormality defect {defect:.3e}"
+    status = Status.FAILED if diagnostic else (
+        Status.CONVERGED if residual <= config.epsilon else Status.MAX_ITERATIONS
+    )
+    # checked above unless the solve failed, when the frame may be what failed
+    final_point = object.__new__(StiefelPoint)
+    object.__setattr__(final_point, "u", u)
     # one retraction per trial; one energy evaluation per iterate and per backtracking trial
     trials = sum(rec.backtracks + 1 for rec in trace) + failed_trials
     return SolveResult(

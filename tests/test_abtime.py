@@ -1,5 +1,5 @@
 """scripts/abtime.py on two small stub trees: a copy of the package each, with
-a two-job workload in place of the benchmark's."""
+a two-job workload and its output check in place of the benchmark's."""
 
 import importlib.util
 import shutil
@@ -29,6 +29,10 @@ def small_batch(seed):
     return [SimpleNamespace(instance=instance, config=c, strategy=c.strategy) for c in configs]
 
 
+def check(job, result):
+    return {fault!r}
+
+
 WORKLOADS = {{"small-batch": small_batch}}
 """
 
@@ -47,14 +51,14 @@ def solve(model, u0, config):
 """
 
 
-def stub_tree(root, eps=1e-8, leak=False):
+def stub_tree(root, eps=1e-8, leak=False, fault=""):
     shutil.copytree(REPO / "src" / "grassopt", root / "src" / "grassopt",
                     ignore=shutil.ignore_patterns("__pycache__"))
     if leak:
         with open(root / "src" / "grassopt" / "__init__.py", "a") as fh:
             fh.write(LEAK)
     (root / "perfbench").mkdir()
-    (root / "perfbench" / "workloads.py").write_text(WORKLOADS.format(eps=eps))
+    (root / "perfbench" / "workloads.py").write_text(WORKLOADS.format(eps=eps, fault=fault))
     return root
 
 
@@ -95,3 +99,14 @@ def test_different_iteration_counts_fail(tmp_path, load, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("iterations, parent") == 2
     assert "0/2 jobs bit-identical" in captured.out
+
+
+def test_wrong_output_fails(tmp_path, load, capsys):
+    """Each tree's own check judges its own solves: a fault per job and tree."""
+    root = stub_tree(tmp_path, fault="energy below the reference")
+    trees = (load(root, "parent"), load(root, "change"))
+    assert abtime.compare(trees, "small-batch", 1, rounds=1) == 4
+    captured = capsys.readouterr()
+    assert captured.err.count("output wrong: energy below the reference") == 4
+    assert captured.err.count("parent round 0 output wrong") == 2
+    assert "2/2 jobs bit-identical" in captured.out

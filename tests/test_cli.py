@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -284,8 +285,10 @@ class TestRun:
         [
             ("--problem lattice --npts 16 --p 2 --well 1e300", "iteration 0: overflow"),
             ("--problem lattice --npts 16 --p 2 --gamma 1e200", "iteration 0: overflow"),
-            ("--n 20 --p 2 --first-step 1e308 --strategy none", "iteration 0: overflow"),
-            ("--n 20 --p 2 --first-step 1e308 --strategy backtracking", "iteration 0: overflow"),
+            ("--n 20 --p 2 --first-step 1e308 --strategy none",
+             "iteration 0: QR retraction: step |t| ||D||_F = inf is not finite"),
+            ("--n 20 --p 2 --first-step 1e308 --strategy backtracking",
+             "iteration 0: QR retraction: step |t| ||D||_F = inf is not finite"),
             ("--problem lattice --npts 16 --p 2 --length 1e300", "mesh width"),
             ("--problem lattice --npts 16 --p 2 --well 1e308", "potential has non-finite"),
         ],
@@ -296,6 +299,23 @@ class TestRun:
         code = run_cli("run", *args.split(), "--out", str(tmp_path / "t.csv"))
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retraction, name", [("qr", "QR"), ("geodesic", "geodesic")])
+    @pytest.mark.parametrize("strategy", ["none", "backtracking"])
+    def test_overflowing_step_named(self, tmp_path, capsys, strategy, retraction, name):
+        """A first step too large for a float fails the run at iteration 0,
+        named by the retraction, with no RuntimeWarning on the way."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "run", "--n", "20", "--p", "2", "--first-step", "1e308", "--strategy", strategy,
+                "--retraction", retraction, "--out", str(tmp_path / "t.csv"),
+            )
+        assert not caught
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: iteration 0: {name} retraction: step |t| " in err
+        assert "Traceback" not in err
 
     def test_non_finite_matrix_file_rejected(self, tmp_path, capsys):
         mfile = tmp_path / "mat.txt"

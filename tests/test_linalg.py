@@ -52,6 +52,13 @@ class TestThinQR:
         with pytest.raises(ConvergenceFailure):
             thin_qr([[bad, 1.0], [0.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_named_before_factoring(self, bad):
+        """The input is checked before the QR: a non-finite R would make the
+        rank check's SVD raise its own "did not converge" first."""
+        with pytest.raises(ConvergenceFailure, match="non-finite input to thin_qr"):
+            thin_qr([[bad, 1.0], [0.0, 1.0], [1.0, 1.0]])
+
     def test_rank_check_matches_input_singular_values(self):
         # rank is judged on R, whose singular values are the input's: a
         # column scaled just above / below the tolerance flips the verdict

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -236,9 +238,41 @@ class TestCarriedRetraction:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["cholesky", "householder"])
     def test_non_finite_raises_convergence_failure(self, entry):
-        # a NaN norm fails the t ||D|| > 1 test, an infinite one passes it
+        # a NaN or infinite norm makes the step |t| ||D|| non-finite
         with pytest.raises(ConvergenceFailure):
             retract_qr_factors(U1, np.array([[0.0], [entry]]), 1e-3)
+
+
+class TestNonFiniteStep:
+    """A step t D too large for a float is named by the retraction it is
+    handed to, before any factorization, and warns of nothing."""
+
+    u = random_stiefel(20, 2, 0).u
+    d = random_tangent(u, 1)
+    d = 10.0 * d / np.linalg.norm(d)  # sigma_max(D) >= ||D||_F / sqrt(2) > 1.8
+
+    @pytest.mark.parametrize(
+        "retract, message",
+        [
+            (retract_qr_factors, r"QR retraction: step \|t\| \|\|D\|\|_F = inf is not finite"),
+            (retract_geodesic, r"geodesic retraction: step \|t\| sigma_max = inf is not finite"),
+        ],
+        ids=["qr", "geodesic"],
+    )
+    def test_infinite_step_named(self, retract, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceFailure, match=message):
+                retract(self.u, self.d, 1e308)
+        assert not caught
+
+    def test_non_finite_frame_caught_by_the_gram(self):
+        """A finite step on a non-finite frame reaches the Cholesky QR,
+        whose Gram check names it: NumPy's Cholesky would not raise."""
+        u = self.u.copy()
+        u[0, 0] = np.nan
+        with pytest.raises(ConvergenceFailure, match="non-finite input to the Cholesky QR"):
+            retract_qr_factors(u, self.d, 1e-3)
 
 
 def test_geometry_suite_passes():

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +26,14 @@ from grassopt import (
 )
 from grassopt import search, stepsize
 from grassopt.linalg import LinalgError, RankDeficient
-from grassopt.manifold import frobenius_norm
+from grassopt.manifold import frobenius_norm, ortho_defect
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
 
 from conftest import Delegate, random_stiefel, random_tangent
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 MIX13 = StiefelPoint(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2))
+STEP_INF = "QR retraction: step |t| ||D||_F = inf is not finite"
 
 
 def failed_step_shrinks(result):
@@ -701,37 +703,62 @@ def nudged(u):
 
 
 class TestOrthonormalityChecks:
-    """The iterate's orthonormality is checked after exact evaluations of a
-    carried solve and at exit; a defect ends the solve as FAILED."""
+    """The iterate's orthonormality is checked twice on every path: at entry
+    and at any exit that is not already a failure.  A defect at exit ends the
+    solve as FAILED, with that frame's own energy and residual."""
 
     model = QuadraticTraceModel(random_symmetric(30, seed=13))
     u0 = random_stiefel(30, 3, 14)
 
-    def test_defect_fails_carried_solve_at_refresh(self, monkeypatch):
-        retract = search.retract_qr_factors
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(strategy="adaptive"),
+            dict(strategy="adaptive", retraction="geodesic"),
+            dict(strategy="backtracking"),
+            dict(strategy="none"),
+        ],
+        ids=["carried-qr", "adaptive-geodesic", "backtracking", "none"],
+    )
+    def test_checked_at_entry_and_exit_only(self, monkeypatch, kwargs):
+        checked = []
 
-        def off_manifold(u, d, t, d_norm):
-            new, r_inv = retract(u, d, t, d_norm)
-            return nudged(new), r_inv
+        def counted(u):
+            checked.append(u)
+            return ortho_defect(u)
 
-        monkeypatch.setattr(search, "retract_qr_factors", off_manifold)
-        result = solve(self.model, self.u0, SolveConfig(epsilon=1e-14, max_iter=500))
-        assert result.status is Status.FAILED
-        assert result.iters == CARRY_REFRESH
-        assert result.diagnostic.startswith(f"iteration {CARRY_REFRESH}: orthonormality defect")
-        # the defect is found after an exact evaluation of the frame it reports
-        assert_exact_report(self.model, result)
-        assert result.total_energy_evals == result.iters + 1
+        monkeypatch.setattr(search, "ortho_defect", counted)
+        result = solve(self.model, self.u0, SolveConfig(epsilon=1e-10, **kwargs))
+        assert result.status is Status.CONVERGED and result.iters > CARRY_REFRESH
+        assert len(checked) == 2
+        assert checked[0] is self.u0.u and checked[1] is result.final_point.u
 
-    @pytest.mark.parametrize("strategy", ["adaptive", "backtracking", "none"])
-    def test_defect_fails_exact_solve_at_exit(self, monkeypatch, strategy):
-        retract = search.retract_qr
-        monkeypatch.setattr(search, "retract_qr", lambda *args: nudged(retract(*args)))
+    @pytest.mark.parametrize("path", ["adaptive", "backtracking", "none", "carried"])
+    def test_defect_fails_exact_solve_at_exit(self, monkeypatch, path):
+        """A frame nudged off the manifold by each retraction is caught at
+        exit; the carried path reports it after its exact evaluation."""
+        if path == "carried":
+            retract = search.retract_qr_factors
+
+            def off_manifold(u, d, t, d_norm):
+                new, r_inv = retract(u, d, t, d_norm)
+                return nudged(new), r_inv
+
+            monkeypatch.setattr(search, "retract_qr_factors", off_manifold)
+            model, strategy = self.model, "adaptive"
+        else:
+            retract = search.retract_qr
+            monkeypatch.setattr(search, "retract_qr", lambda *args: nudged(retract(*args)))
+            model, strategy = CallLog(self.model), path
         config = SolveConfig(epsilon=1e-14, max_iter=5, strategy=strategy)
-        result = solve(CallLog(self.model), self.u0, config)
+        result = solve(model, self.u0, config)
         assert result.status is Status.FAILED
         assert result.iters == 5
-        assert "orthonormality defect" in result.diagnostic
+        assert result.diagnostic.startswith(f"iteration {result.iters}: orthonormality defect")
+        assert_exact_report(self.model, result)
+        assert result.total_energy_evals == result.iters + 1 + (
+            result.total_retraction_evals if strategy == "backtracking" else 0
+        )
 
 
 class ExactMarked(CarriedLog):
@@ -1066,22 +1093,24 @@ class TestFailureHandling:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "model, strategy, first_step",
+        "model, strategy, first_step, message",
         [
-            (harmonic_lattice(16, well=1e300), "adaptive", 1e-2),
-            (harmonic_lattice(16, well=1e300), "backtracking", 1e-2),
-            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "backtracking", 1e308),
-            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "none", 1e308),
+            (harmonic_lattice(16, well=1e300), "adaptive", 1e-2, "overflow encountered"),
+            (harmonic_lattice(16, well=1e300), "backtracking", 1e-2, "overflow encountered"),
+            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "backtracking", 1e308, STEP_INF),
+            (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "none", 1e308, STEP_INF),
         ],
         ids=["evaluation-adaptive", "evaluation-backtracking", "step-backtracking", "step-none"],
     )
-    def test_overflow_fails_cleanly_with_warnings_as_errors(self, model, strategy, first_step):
+    def test_overflow_fails_cleanly_with_warnings_as_errors(
+        self, model, strategy, first_step, message
+    ):
         """An overflow in an evaluation or in U + tD ends the solve failed at
         iteration 0, also when RuntimeWarnings are raised as errors."""
         config = SolveConfig(strategy=strategy, first_step=first_step)
         result = solve(model, random_stiefel(model.npts, 2, 0), config)
         assert result.status is Status.FAILED and result.iters == 0
-        assert result.diagnostic.startswith("iteration 0: overflow encountered")
+        assert result.diagnostic.startswith(f"iteration 0: {message}")
 
 
     @pytest.mark.parametrize("shape", [(9, 3), (3, 3), (10, 2)], ids=["rows", "square", "columns"])
@@ -1097,6 +1126,26 @@ class TestFailureHandling:
         result = solve(model, random_stiefel(10, 3, 1), SolveConfig())
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic == f"iteration 0: gradient shape {shape} != frame shape (10, 3)"
+
+
+class TestStepOverflow:
+    """A first step whose t D overflows ends the solve failed at iteration 0
+    with the retraction's own diagnostic, warning of nothing: no retraction
+    is counted, and backtracking does not shrink through NaN energies."""
+
+    @pytest.mark.parametrize("retraction, name", [("qr", "QR"), ("geodesic", "geodesic")])
+    @pytest.mark.parametrize("strategy", ["none", "backtracking"])
+    def test_named_at_iteration_0(self, strategy, retraction, name):
+        model = QuadraticTraceModel(random_symmetric(20, 1))
+        config = SolveConfig(strategy=strategy, retraction=retraction, first_step=1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve(model, random_stiefel(20, 2, 0), config)
+        assert not caught
+        assert result.status is Status.FAILED and result.iters == 0
+        assert result.diagnostic.startswith(f"iteration 0: {name} retraction: step |t| ")
+        assert result.diagnostic.endswith(" = inf is not finite")
+        assert result.total_retraction_evals == 0 and result.total_energy_evals == 1
 
 
 class TestSolveProperties:
