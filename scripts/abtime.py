@@ -16,7 +16,10 @@ both counters and diagnostic) and its output is checked by that tree's
 `workloads.check`, the benchmark's own output check.  Per workload and seed
 the script prints how many jobs are bit-identical to DIR and, per strategy,
 the median and quartiles of the ms/iter ratio (this checkout over DIR, one
-per job and round) and how often this checkout was faster.  It exits 1 if
+per job and round) and how often this checkout was faster.  Its first line
+names the BLAS it ran: OpenBLAS's config string (version and core, on
+which the dense product's bits depend) and its thread count, `unknown`
+where numpy's OpenBLAS does not report them.  It exits 1 if
 the trees take different iterations on a job (the timing would compare
 different work), if a job's digest in a later round differs from round 0 in
 either tree (a model kept state from one solve to the next), or if the
@@ -26,7 +29,9 @@ check finds a solve's output wrong.  It writes nothing.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
+import glob
 import hashlib
 import importlib.util
 import os
@@ -66,6 +71,26 @@ def load_tree(root: Path, tag: str):
         else:
             sys.modules["grassopt"] = saved
     return package, workloads
+
+
+def blas_kernel() -> str:
+    """The line naming the BLAS: the config string and thread count of
+    numpy's bundled OpenBLAS, each `unknown` where the library lacks it."""
+    import numpy as np
+
+    config = threads = "unknown"
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in glob.glob(str(libdir / "*openblas*")):
+        blas = ctypes.CDLL(lib)
+        get_config = getattr(blas, "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            config = " ".join(get_config().decode().split())
+        get_threads = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+        if get_threads is not None:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = str(get_threads())
+    return f"abtime: BLAS {config}, threads {threads}"
 
 
 def digest(result) -> str:
@@ -169,6 +194,7 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy is first imported
     trees = (load_tree(args.parent.resolve(), "parent"), load_tree(ROOT, "change"))
+    print(blas_kernel())
     faults = sum(
         compare(trees, name, seed, args.rounds)
         for name in args.workload or WORKLOAD_NAMES

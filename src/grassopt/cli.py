@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -222,6 +223,7 @@ def _write_table(path: Path, fmt: str, columns: tuple[str, ...], rows: list[dict
 def summary_dict(result: SolveResult, config: SolveConfig, wallclock: float) -> dict:
     """The report of a finished solve: `run` writes it as its summary, and
     each `compare` row is it plus `flagged`."""
+    steps = result.iters or math.nan  # no step, no per-step figures
     return {
         "strategy": config.strategy,
         "bb_mode": config.bb_mode,
@@ -233,12 +235,12 @@ def summary_dict(result: SolveResult, config: SolveConfig, wallclock: float) -> 
         "retraction_evals": result.total_retraction_evals,
         # how often the initial (BB) guess was accepted as the step
         "initial_accepted_share": (
-            sum(rec.initial_accepted for rec in result.trace) / max(1, result.iters)
+            sum(rec.initial_accepted for rec in result.trace) / steps
         ),
         # iterations per clamp_reason: why steps were clamped
         "clamp_reasons": dict(Counter(rec.clamp_reason for rec in result.trace)),
         "wallclock_s": wallclock,
-        "ms_per_iter": 1e3 * wallclock / max(1, result.iters),
+        "ms_per_iter": 1e3 * wallclock / steps,
     }
 
 

@@ -20,6 +20,13 @@ import numpy as np
 from .linalg import ShapeMismatch, sym_eig
 from .manifold import StiefelPoint, TangentVector, project_tangent
 
+# Above this many multiply-adds n*n*p, a dense A X with p >= 2 columns is
+# formed as (X^T A)^T, whose packing OpenBLAS runs faster for a thin X: about
+# 20% at n = 1000, p = 20, same bits (OpenBLAS 0.3.31, SkylakeX, one thread).
+# At or below it, A X runs OpenBLAS's small-matrix kernel, faster there
+# (dgemm_small_kernel_permit: M*N*K <= 100^3).
+TRANSPOSED_GEMM_MIN_WORK = 10**6
+
 
 class EnergyModel(abc.ABC):
     """Smooth energy E(U) invariant under U -> U P for orthogonal P.
@@ -34,11 +41,11 @@ class EnergyModel(abc.ABC):
     defines `apply_operator(x) -> A x`, and hands a product in only on that
     path.  A model that defines it accepts the products A U and A D as
     `value(u, au)`, `evaluate(u, au)` and `hessian_qform(u, d, ad)`, and
-    returns the same bits with or without them; `hessian_apply(u, d)` forms
-    its own A D.  The concrete `TraceDensityModel` is final, since
-    its fused `evaluate` and its `apply_operator` would bypass a subclass's
-    redefinitions; a variant delegates to it instead and, without
-    `apply_operator`, is evaluated exactly.
+    returns the same bits with or without them (by construction if it forms
+    every product by `apply_operator`).  The concrete `TraceDensityModel` is
+    final, since its fused `evaluate` and its `apply_operator` would bypass
+    a subclass's redefinitions; a variant delegates to it instead and,
+    without `apply_operator`, is evaluated exactly.
 
     A read-only frame handed to a model, and the A U handed with it, do not
     change afterwards, so a model may keep what it formed from them.
@@ -73,6 +80,12 @@ def _is_count(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
+def _check_height(n: int, x: np.ndarray) -> None:
+    """Raise ShapeMismatch unless `x` has the operator's `n` rows."""
+    if x.shape[0] != n:
+        raise ShapeMismatch(f"operator of size {n} applied to shape {x.shape}")
+
+
 @dataclass(frozen=True)
 class DirichletLaplacian:
     """The three-point Laplacian on `npts` interior grid points of mesh
@@ -102,8 +115,7 @@ class DirichletLaplacian:
         """A x: the differences first, the scale 1/h^2 last, so that A @ I
         has the bits of the dense matrix with 2/h^2 on its diagonal and
         -1/h^2 beside it."""
-        if x.shape[0] != self.npts:
-            raise ShapeMismatch(f"operator of size {self.npts} applied to shape {x.shape}")
+        _check_height(self.npts, x)
         out = np.multiply(x, 2.0)
         out[1:] -= x[:-1]
         out[:-1] -= x[1:]
@@ -115,6 +127,7 @@ class DirichletLaplacian:
         difference of U with the zero rows beyond its ends.  A sum of
         squares does not cancel; the sum of U * (A U) loses about four
         digits on a fine grid."""
+        _check_height(self.npts, u)
         d = u[1:] - u[:-1]
         squares = np.vdot(d, d) + np.vdot(u[0], u[0]) + np.vdot(u[-1], u[-1])
         return 0.5 * (1.0 / self.h**2) * float(squares)
@@ -138,7 +151,9 @@ class TraceDensityModel(EnergyModel):
     each at most once: A U on a dense A once per backtracking trial, whose
     energy needs it, and on the stencil once per accepted frame, for its
     gradient.  A product handed in is used as given, and nothing formed
-    from it is kept; a writable frame is never kept.
+    from it is kept; a writable frame is never kept.  `apply_operator`
+    forms every product with A: the record's A U and the A D of
+    `hessian_apply` and `hessian_qform`.
     """
 
     a: Union[np.ndarray, DirichletLaplacian]
@@ -200,7 +215,14 @@ class TraceDensityModel(EnergyModel):
         return self._gradient(u, self._product(u, self._formed(u)), self._rho(u))
 
     def apply_operator(self, x):
-        return self.a @ x
+        """A x; on a dense A above TRANSPOSED_GEMM_MIN_WORK as (x^T A)^T, A being symmetric."""
+        a = self.a
+        if isinstance(a, DirichletLaplacian):
+            return a @ x
+        _check_height(a.shape[0], x)
+        if x.ndim == 2 and x.shape[1] > 1 and a.size * x.shape[1] > TRANSPOSED_GEMM_MIN_WORK:
+            return np.ascontiguousarray((x.T @ a).T)
+        return a @ x
 
     def evaluate(self, u, au=None):
         formed, rho = self._formed(u, au), self._rho(u)
@@ -226,7 +248,7 @@ class TraceDensityModel(EnergyModel):
         """A U from the record `formed` of the frame `u`, formed there once,
         read-only."""
         if "au" not in formed:
-            au = formed["au"] = self.a @ u
+            au = formed["au"] = self.apply_operator(u)
             au.setflags(write=False)
         return formed["au"]
 
@@ -259,7 +281,7 @@ class TraceDensityModel(EnergyModel):
         )
 
     def hessian_apply(self, u, d):
-        ad = self.a @ d
+        ad = self.apply_operator(d)
         if self.v is None:
             return ad
         rho = self.density(u)
@@ -276,7 +298,7 @@ class TraceDensityModel(EnergyModel):
         n-by-p Hessian action.  Without V it is <D, A D>, with the bits of
         the default."""
         if ad is None:
-            ad = self.a @ d
+            ad = self.apply_operator(d)
         quad = float((d * ad).sum())
         if self.v is None:
             return quad

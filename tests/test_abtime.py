@@ -2,6 +2,7 @@
 a two-job workload and its output check in place of the benchmark's."""
 
 import importlib.util
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -110,3 +111,20 @@ def test_wrong_output_fails(tmp_path, load, capsys):
     assert captured.err.count("output wrong: energy below the reference") == 4
     assert captured.err.count("parent round 0 output wrong") == 2
     assert "2/2 jobs bit-identical" in captured.out
+
+
+def test_names_the_blas_first(tmp_path, monkeypatch, capsys):
+    """The first line names the BLAS, here numpy's OpenBLAS with its core."""
+    root = stub_tree(tmp_path)
+    monkeypatch.setattr(abtime, "load_tree", lambda root, tag: None)
+    monkeypatch.setattr(abtime, "compare", lambda trees, name, seed, rounds: 0)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # restored after main pins them
+    assert abtime.main(["--parent", str(root), "--workload", "small-batch"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"abtime: BLAS OpenBLAS \d\S* .+, threads \d+", line)
+
+
+def test_blas_unknown_without_the_symbols(monkeypatch):
+    monkeypatch.setattr(abtime.ctypes, "CDLL", lambda path: object())
+    assert abtime.blas_kernel() == "abtime: BLAS unknown, threads unknown"

@@ -164,6 +164,22 @@ class TestRun:
         assert strict_json(capsys.readouterr().out) == summary
         assert strict_json(out.read_text()) == []
 
+    @pytest.mark.parametrize(
+        "args, code, status",
+        [("--n 4 --p 4", 0, "converged"),
+         ("--n 20 --p 2 --first-step 1e308 --strategy none", 1, "failed")],
+        ids=["converged-start", "failed-at-0"],
+    )
+    def test_no_step_reports_no_per_step_figures(self, tmp_path, args, code, status):
+        """A solve that takes no step has no share of accepted guesses and no
+        time per step: both are NaN, written as null."""
+        out = tmp_path / "t.json"
+        assert run_cli("run", *args.split(), "--format", "json", "--out", str(out)) == code
+        summary = strict_json((tmp_path / "t.json.summary.json").read_text())
+        assert (summary["status"], summary["iters"]) == (status, 0)
+        assert summary["initial_accepted_share"] is None and summary["ms_per_iter"] is None
+        assert summary["wallclock_s"] > 0.0
+
     def test_lattice_beyond_dense_size(self, tmp_path):
         """A lattice whose dense matrix would take 80 GB runs as a stencil."""
         out = tmp_path / "trace.json"
@@ -562,6 +578,21 @@ class TestCompare:
         ) == 1
         rows = strict_json(out.read_text())
         assert [(r["status"], r["final_residual"]) for r in rows] == [("failed", None)] * 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_step_reports_no_per_step_figures(self, tmp_path, capsys, fmt):
+        """From a converged start no strategy takes a step: the per-step
+        figures are NaN, null in JSON, nan in CSV and on the compare line."""
+        out = tmp_path / f"cmp.{fmt}"
+        assert run_cli("compare", "--n", "4", "--p", "4", "--format", fmt, "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(" iter=0 " in line and " accepted=nan " in line for line in lines)
+        rows = read_trace(out) if fmt == "csv" else strict_json(out.read_text())
+        nan = "nan" if fmt == "csv" else None
+        for row in rows:
+            assert str(row["iters"]) == "0"
+            assert (row["initial_accepted_share"], row["ms_per_iter"]) == (nan, nan)
 
     def test_rows_are_run_summaries(self, tmp_path):
         """Each compare row is the run summary of the same solve plus

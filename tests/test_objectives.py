@@ -13,6 +13,7 @@ from grassopt import (
     NonlinearLatticeModel,
     QuadraticTraceModel,
     ShapeMismatch,
+    SolveConfig,
     StiefelPoint,
     TraceDensityModel,
     eigen_oracle,
@@ -22,7 +23,9 @@ from grassopt import (
     load_matrix,
     random_symmetric,
     retract_geodesic,
+    solve,
 )
+from grassopt import objectives
 from grassopt.checks import run_suite
 
 from conftest import random_stiefel, random_tangent
@@ -367,6 +370,120 @@ class TestSuppliedProducts:
                 return DIAG123.hessian_apply(u, d)
 
         assert Wrapper().apply_operator is None
+
+
+class TestDenseProduct:
+    """apply_operator is the one product with A.  On a dense A it forms a
+    block of p >= 2 columns with n n p above TRANSPOSED_GEMM_MIN_WORK as
+    (x^T A)^T, and every other product as A x."""
+
+    # (n, p): at or below the cutoff, and the benchmark's dense shapes, where
+    # the transposed form keeps the bits of A x (one or two BLAS threads,
+    # OpenBLAS's SkylakeX core)
+    SAME_BITS = [(20, 3), (100, 4), (100, 100), (200, 10), (400, 4), (1000, 20), (1024, 8)]
+    # above the cutoff, where the transposed form may differ by roundoff
+    ABOVE = [(300, 20), (400, 10), (500, 20), (600, 4), (700, 20), (1500, 20), (200, 40),
+             (159, 40), (142, 50), (100, 101), (708, 2)]
+
+    @staticmethod
+    def block(n, p, seed=0):
+        model = QuadraticTraceModel(random_symmetric(n, seed))
+        shape = (n,) if p is None else (n, p)
+        return model, np.random.default_rng(seed + 1).standard_normal(shape)
+
+    @pytest.mark.parametrize("n, p", SAME_BITS + [(1000, 1), (300, 1), (1000, None), (50, None)])
+    def test_bits_of_a_x(self, n, p):
+        model, x = self.block(n, p)
+        ax = model.apply_operator(x)
+        assert ax.flags.c_contiguous
+        assert ax.tobytes() == (model.a @ x).tobytes()
+
+    @pytest.mark.parametrize("n, p", ABOVE)
+    def test_above_cutoff_agrees_to_roundoff(self, n, p):
+        assert n * n * p > objectives.TRANSPOSED_GEMM_MIN_WORK
+        model, x = self.block(n, p)
+        ax, want = model.apply_operator(x), model.a @ x
+        assert ax.shape == want.shape and ax.flags.c_contiguous
+        assert np.linalg.norm(ax - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("potential", [False, True], ids=["trace", "density"])
+    def test_contracts_above_cutoff(self, potential):
+        """Handed products give the bits of the model's own, above the cutoff
+        too, as `grassopt check` shows below it."""
+        n, p = 708, 2
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(n) if potential else None
+        gamma = 1.0 if potential else 0.0
+        model = TraceDensityModel(random_symmetric(n, 3), v=v, h=0.5, gamma=gamma)
+        u = random_stiefel(n, p, 4).u
+        d = random_tangent(u, 5)
+        au = model.apply_operator(u)
+        energy, egrad = model.evaluate(u)
+        assert model.value(u, au) == model.value(u) == energy
+        carried_energy, carried_egrad = model.evaluate(u, au)
+        assert carried_energy == energy and carried_egrad.tobytes() == egrad.tobytes()
+        assert model.hessian_qform(u, d, model.apply_operator(d)) == model.hessian_qform(u, d)
+
+    @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice], ids=["dense", "stencil"])
+    def test_one_owner(self, make, monkeypatch):
+        """A U of a frame, the Hessian action and the quadratic form each form
+        their product through apply_operator, once; a handed A D forms none."""
+        model = make()
+        calls = []
+        apply_operator = TraceDensityModel.apply_operator
+
+        def counted(self, x):
+            calls.append(x)
+            return apply_operator(self, x)
+
+        monkeypatch.setattr(TraceDensityModel, "apply_operator", counted)
+        u = random_stiefel(model.npts, 2, 6).u
+        d = random_tangent(u, 7)
+        ad = model.a @ d
+        for call, expected in [
+            (lambda: model.euclidean_gradient(np.array(u)), 1),
+            (lambda: model.evaluate(np.array(u)), 1),
+            (lambda: model.hessian_apply(u, d), 1),
+            (lambda: model.hessian_qform(u, d), 1),
+            (lambda: model.hessian_qform(u, d, ad), 0),
+        ]:
+            calls.clear()
+            call()
+            assert len(calls) == expected
+        calls.clear()
+        model.value(np.array(u))  # the stencil's energy forms no product
+        assert len(calls) == (1 if isinstance(model.a, np.ndarray) else 0)
+
+
+class TestWrongHeight:
+    """A frame of the wrong height fails with the same ShapeMismatch on the
+    dense matrix and on the stencil."""
+
+    MESSAGE = r"operator of size 5 applied to shape \(4, 2\)"
+    MODELS = [lambda: QuadraticTraceModel(random_symmetric(5, 1)), lambda: harmonic_lattice(5)]
+
+    @pytest.mark.parametrize("make", MODELS, ids=["dense", "stencil"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, u: m.value(u),
+            lambda m, u: m.euclidean_gradient(u),
+            lambda m, u: m.evaluate(u),
+            lambda m, u: m.hessian_apply(u, u),
+            lambda m, u: m.hessian_qform(u, u),
+        ],
+        ids=["value", "euclidean_gradient", "evaluate", "hessian_apply", "hessian_qform"],
+    )
+    def test_model_calls(self, make, call):
+        with pytest.raises(ShapeMismatch, match=self.MESSAGE):
+            call(make(), random_stiefel(4, 2, 0).u)
+
+    @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
+    @pytest.mark.parametrize("make", MODELS, ids=["dense", "stencil"])
+    def test_solve_fails_at_iteration_0(self, make, strategy):
+        result = solve(make(), random_stiefel(4, 2, 0), SolveConfig(strategy=strategy))
+        assert (result.status.value, result.iters) == ("failed", 0)
+        assert result.diagnostic == "iteration 0: operator of size 5 applied to shape (4, 2)"
 
 
 def frozen(x):
