@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,33 @@ class Delegate(EnergyModel):
 
     def hessian_apply(self, u, d):
         return self.model.hessian_apply(u, d)
+
+
+def traced_peak(call, n):
+    """The peak of the memory `call()` allocates, numpy's data buffers
+    included, in units of an n-by-n float64 matrix.  A first untraced call
+    does the one-time work (lazy imports, caches) that later calls skip."""
+    call()
+    outer = tracemalloc.is_tracing()  # e.g. under python -X tracemalloc
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
+@pytest.fixture(params=[False, True], ids=["warnings", "warnings-as-errors"])
+def strict(request):
+    """Runs a test as it is and with every RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        if request.param:
+            warnings.simplefilter("error", RuntimeWarning)
+        yield request.param
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from grassopt import (
 from grassopt import objectives
 from grassopt.checks import run_suite
 
-from conftest import random_stiefel, random_tangent
+from conftest import random_stiefel, random_tangent, traced_peak
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 E1 = StiefelPoint(np.array([[1.0], [0.0], [0.0]]))
@@ -195,6 +195,31 @@ class TestConstruction:
         npt.assert_array_equal(a, before)
         assert a.flags.writeable and not model.a.flags.writeable
         assert model.a.tobytes() == (0.5 * (before + before.T)).tobytes()
+
+    def test_symmetric_matrix_is_copied_as_it_is(self):
+        a = random_symmetric(6, 3)
+        model = QuadraticTraceModel(a)
+        assert model.a is not a and model.a.tobytes() == a.tobytes()
+        a[0, 0] = 9.0  # the caller's array stays writable and apart
+        assert not model.a.flags.writeable and model.a[0, 0] != 9.0
+
+    def test_huge_symmetric_matrix_kept_finite(self, strict):
+        """(A + A^T)/2 overflowed this A to inf, and the oracle read NaN."""
+        a = np.array([[1e308, 0.0], [0.0, 1e308]])
+        model = QuadraticTraceModel(a)
+        assert model.a.tobytes() == a.tobytes()
+        assert eigen_oracle(model, 1)[0] == 5e307
+        assert eigen_oracle(model, 2)[0] == 1e308
+
+    def test_huge_nearly_symmetric_matrix_symmetrized_in_range(self, strict):
+        model = QuadraticTraceModel(np.array([[1e308, 1.0], [2.0, 1e308]]))
+        npt.assert_array_equal(model.a, [[1e308, 1.5], [1.5, 1e308]])
+
+    def test_overflowing_asymmetry_rejected(self, strict):
+        """Both Frobenius norms of this A overflow to inf unscaled, which once
+        let it pass as symmetric."""
+        with pytest.raises(ValueError, match="not symmetric within 1e-10"):
+            QuadraticTraceModel(np.array([[1.0, 1e160], [0.0, 1.0]]))
 
     def test_identity_equality_and_hash(self):
         model = harmonic_lattice(4)
@@ -805,6 +830,35 @@ class TestEigenOracle:
         _, minimizer = eigen_oracle(QuadraticTraceModel(random_symmetric(5, 0)), p)
         assert minimizer.shape == (5, int(p))
 
+    def test_rejects_a_duck_typed_model(self):
+        """Only the model's constructor makes A symmetric, so an object that
+        merely looks like a model is refused before A is eigensolved."""
+
+        class Lookalike:
+            a = np.array([[0.0, 1.0], [0.0, 0.0]])
+            v = None
+
+        with pytest.raises(TypeError, match="needs a TraceDensityModel, got Lookalike"):
+            eigen_oracle(Lookalike(), 1)
+
+    def test_bits_of_eigh_of_the_symmetrized_matrix(self):
+        a = random_symmetric(200, 7)
+        energy, minimizer = eigen_oracle(QuadraticTraceModel(a), 10)
+        evals, evecs = np.linalg.eigh(0.5 * (a + a.T))
+        assert energy == 0.5 * float(np.sum(evals[:10]))
+        assert minimizer.u.tobytes() == evecs[:, :10].tobytes()
+
+    def test_holds_no_copy_of_the_matrix(self):
+        """The traced peak is the eigenvectors; a symmetrized copy of A beside
+        them made it 2.00 n^2 doubles."""
+        model = QuadraticTraceModel(random_symmetric(400, 3))
+        assert traced_peak(lambda: eigen_oracle(model, 5), 400) <= 1.1
+
+    def test_energy_beyond_float64_raises(self):
+        model = QuadraticTraceModel(np.diag([1e308] * 4))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            eigen_oracle(model, 4)
+
     def test_random_matrix_is_stationary_minimum(self):
         model = QuadraticTraceModel(random_symmetric(30, seed=4))
         energy, minimizer = eigen_oracle(model, 4)
@@ -813,6 +867,16 @@ class TestEigenOracle:
         # any other frame has energy >= the oracle value
         other = random_stiefel(30, 4, 50)
         assert model.value(other.u) >= energy - 1e-12
+
+
+class TestRandomSymmetric:
+    def test_bits_of_the_average(self):
+        g = np.random.default_rng(7).standard_normal((50, 50))
+        assert random_symmetric(50, 7).tobytes() == (0.5 * (g + g.T)).tobytes()
+
+    def test_one_temporary(self):
+        """The draw and the result, with no third n-by-n array."""
+        assert traced_peak(lambda: random_symmetric(400, 3), 400) <= 2.1
 
 
 class TestMatrixIO:
