@@ -186,16 +186,12 @@ def check_gradient_tangency() -> CheckResult:
 
 def check_evaluate_consistency() -> CheckResult:
     """evaluate(U) returns (value(U), euclidean_gradient(U)) bit-for-bit for
-    both models, and so does evaluate(U, A U); value(U, A U) is value(U)."""
+    both models, and so does evaluate(U, A U)."""
     rng = np.random.default_rng(206)
     for _ in range(20):
         for model, n, p in _models(rng):
             u = _random_point(rng, n, p).u
             au = model.apply_operator(u)
-            if model.value(u, au) != model.value(u):
-                return CheckResult(
-                    "evaluate_consistency", False, f"n={n}: value(U, A U) differs"
-                )
             for energy, egrad in (model.evaluate(u), model.evaluate(u, au)):
                 if energy != model.value(u):
                     return CheckResult(

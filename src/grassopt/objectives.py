@@ -35,20 +35,21 @@ class EnergyModel(abc.ABC):
     the two to share work, but must return exactly what they return.
     `hessian_qform` returns <D, hessian_apply(U, D)>; a model may form the
     scalar without the n-by-p Hessian action, but must agree with it to
-    roundoff and return the same bits with or without a supplied A D.
+    roundoff.
 
-    `solve` carries A U across QR retractions exactly when the model
-    defines `apply_operator(x) -> A x`, and hands a product in only on that
-    path.  A model that defines it accepts the products A U and A D as
-    `value(u, au)`, `evaluate(u, au)` and `hessian_qform(u, d, ad)`, and
-    returns the same bits with or without them (by construction if it forms
-    every product by `apply_operator`).  The concrete `TraceDensityModel` is
-    final, since its fused `evaluate` and its `apply_operator` would bypass
-    a subclass's redefinitions; a variant delegates to it instead and,
-    without `apply_operator`, is evaluated exactly.
+    `solve` hands a model a product only when it has one: on the carried
+    path (adaptive step, QR retraction, a model that defines
+    `apply_operator(x) -> A x`) it calls `evaluate(u, au)` with A U and
+    `hessian_qform(u, d, ad)` with A D, and the model must return the bits
+    it returns without them (by construction if it forms every product by
+    `apply_operator`).  Every other call passes the frame, and the
+    direction, alone.  The concrete `TraceDensityModel` is final, since its
+    fused `evaluate` and its `apply_operator` would bypass a subclass's
+    redefinitions; a variant delegates to it instead and, without
+    `apply_operator`, is evaluated exactly.
 
-    A read-only frame handed to a model, and the A U handed with it, do not
-    change afterwards, so a model may keep what it formed from them.
+    A read-only frame handed to a model does not change afterwards, so a
+    model may keep what it formed from it.
     """
 
     # A x for the model's linear operator, or None if the model has none
@@ -78,6 +79,17 @@ class EnergyModel(abc.ABC):
 def _is_count(value) -> bool:
     """Whether `value` is an integer >= 1 (and not a bool)."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+def _float64(convert, x, name: str) -> np.ndarray:
+    """convert(x, dtype=float), raising ValueError on an entry beyond the
+    float64 range rather than casting it to inf.  Only a cast can overflow,
+    so a float64 array is checked by no pass of its own."""
+    try:
+        with np.errstate(over="raise"):
+            return convert(x, dtype=float)
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"{name} has entries beyond the float64 range") from None
 
 
 def _check_height(n: int, x: np.ndarray) -> None:
@@ -150,10 +162,10 @@ class TraceDensityModel(EnergyModel):
     object, still read-only, is served from it, so a read-only frame forms
     each at most once: A U on a dense A once per backtracking trial, whose
     energy needs it, and on the stencil once per accepted frame, for its
-    gradient.  A product handed in is used as given, and nothing formed
-    from it is kept; a writable frame is never kept.  `apply_operator`
-    forms every product with A: the record's A U and the A D of
-    `hessian_apply` and `hessian_qform`.
+    gradient.  The A U handed to `evaluate` goes into a record of its own,
+    which is never kept; a writable frame is never kept either.
+    `apply_operator` forms every product with A: the record's A U and the
+    A D of `hessian_apply` and `hessian_qform`.
     """
 
     a: Union[np.ndarray, DirichletLaplacian]
@@ -166,7 +178,7 @@ class TraceDensityModel(EnergyModel):
 
     def __post_init__(self):
         stencil = isinstance(self.a, DirichletLaplacian)
-        mat = self.a if stencil else np.asarray(self.a, dtype=float)
+        mat = self.a if stencil else _float64(np.asarray, self.a, "matrix")
         if not stencil:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
@@ -177,7 +189,7 @@ class TraceDensityModel(EnergyModel):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.v is not None:
-            vec = np.array(self.v, dtype=float)  # a copy: it is frozen below
+            vec = _float64(np.array, self.v, "potential")  # a copy: it is frozen below
             if vec.shape != (mat.shape[0],):
                 raise ShapeMismatch("potential length must match grid size")
             if not np.isfinite(vec).all():
@@ -207,8 +219,8 @@ class TraceDensityModel(EnergyModel):
             rho.setflags(write=False)
         return formed["rho"]
 
-    def value(self, u, au=None):
-        return self._energy(u, self._formed(u, au), self._rho(u))
+    def value(self, u):
+        return self._energy(u, self._formed(u), self._rho(u))
 
     def euclidean_gradient(self, u):
         return self._gradient(u, self._product(u, self._formed(u)), self._rho(u))
@@ -224,17 +236,16 @@ class TraceDensityModel(EnergyModel):
         return a @ x
 
     def evaluate(self, u, au=None):
-        formed, rho = self._formed(u, au), self._rho(u)
+        formed = self._formed(u) if au is None else {"au": au}  # a handed product's, not kept
+        rho = self._rho(u)
         return self._energy(u, formed, rho), self._gradient(u, self._product(u, formed), rho)
 
     _last = (None, None)  # (read-only frame, its record); not a dataclass field
 
-    def _formed(self, u, au=None):
-        """The record of what was formed for the frame `u`: a new one holding
-        a handed product `au`, never kept; else the held one if it is of `u`
-        and `u` is still read-only, or a new one, held if `u` is read-only."""
-        if au is not None:
-            return {"au": au}
+    def _formed(self, u):
+        """The record of what was formed for the frame `u`: the held one if it
+        is of `u` and `u` is still read-only, or a new one, held if `u` is
+        read-only."""
         frame, formed = self._last
         if u is frame and not u.flags.writeable:
             return formed
@@ -341,7 +352,8 @@ def random_symmetric(n: int, seed: int) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     """Read a dense square matrix: first line n, then n*n whitespace-separated
-    entries, row-major."""
+    entries, row-major.  An entry that reads as +-inf without being an inf
+    literal, such as 1e400, is named as beyond the float64 range."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -350,12 +362,16 @@ def load_matrix(path) -> np.ndarray:
     if n < 1:
         raise ValueError(f"{path}: matrix size must be a positive integer, got {tokens[0]!r}")
     try:
-        entries = [float(t) for t in tokens[1:]]
+        entries = np.array([float(t) for t in tokens[1:]])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for k in np.flatnonzero(np.isinf(entries)):
+        token = tokens[1 + k]
+        if token.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise ValueError(f"{path}: entry {k + 1} ({token!r}) is beyond the float64 range")
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, got {len(entries)}")
-    return np.array(entries).reshape(n, n)
+    return entries.reshape(n, n)
 
 
 def grassmann_gradient(model: EnergyModel, point: StiefelPoint) -> TangentVector:
@@ -378,11 +394,11 @@ def grassmann_hessian_qform(
     sums.  `ug` is the p-by-p product U^T grad E(U) if the caller already
     has it, as `solve` does from its tangent projection; otherwise it is
     computed here.  `ad` is the product A D of a model with
-    `apply_operator`, passed on to its `hessian_qform`.
+    `apply_operator`, passed on to its `hessian_qform` only when given.
     """
     if ug is None:
         ug = u.T @ model.euclidean_gradient(u)
-    curvature = model.hessian_qform(u, d, ad)
+    curvature = model.hessian_qform(u, d) if ad is None else model.hessian_qform(u, d, ad)
     correction = float(((d.T @ d) @ ug).trace())
     return curvature - correction
 

@@ -13,9 +13,9 @@ raises otherwise leaves no record and counts none of its trials.
 With the adaptive step, the QR retraction and a model that has
 `apply_operator`, the loop carries the product A U from one iterate to the
 next: U_new R = U + t D gives A U_new = (A U + t A D) R^-1, so an iteration
-applies A once, to D.  That is the only path that hands the model a
-product; every other evaluation, backtracking's trials included, lets the
-model form its own.
+applies A once, to D.  That is the only path with a product to hand the
+model: A U to `evaluate(u, au)` and A D to `hessian_qform(u, d, ad)`.
+Every other call passes the frame, and the direction, alone.
 
 One rule decides every exit: each exit follows an exact evaluation.  An
 iterate is evaluated exactly at the start, every CARRY_REFRESH iterations,

@@ -341,6 +341,15 @@ class TestRun:
         assert "error: matrix has non-finite entries" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_matrix_file_beyond_float64_named(self, tmp_path, capsys, strict):
+        mfile = tmp_path / "mat.txt"
+        mfile.write_text("2\n1e400 0\n0 1\n")
+        out = tmp_path / "t.csv"
+        assert run_cli("run", "--matrix-file", str(mfile), "--p", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {mfile}: entry 1 ('1e400') is beyond the float64 range" in err
+        assert not out.exists()
+
     def test_non_finite_eps_rejected(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert run_cli("run", "--n", "10", "--p", "1", "--eps", "nan", "--out", str(out)) == 1

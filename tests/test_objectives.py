@@ -69,6 +69,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             TraceDensityModel(a, v=v)
 
+    # finite entries beyond the float64 range: a long double, and a Python int
+    BEYOND = [np.longdouble("-1e400"), 10**400]
+
+    @pytest.mark.parametrize("huge", BEYOND, ids=["longdouble", "int"])
+    @pytest.mark.parametrize("potential", [False, True], ids=["quadratic", "lattice"])
+    def test_matrix_beyond_float64_named(self, strict, huge, potential):
+        a = np.array([[huge, 0], [0, 1]])
+        v = np.zeros(2) if potential else None
+        with pytest.raises(ValueError, match="matrix has entries beyond the float64 range"):
+            TraceDensityModel(a, v=v)
+
+    @pytest.mark.parametrize("huge", BEYOND, ids=["longdouble", "int"])
+    def test_potential_beyond_float64_named(self, strict, huge):
+        v = np.array([0, huge, 0])
+        with pytest.raises(ValueError, match="potential has entries beyond the float64 range"):
+            NonlinearLatticeModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_potential(self, bad):
         with pytest.raises(ValueError, match="potential has non-finite entries"):
@@ -444,7 +461,7 @@ class TestDenseProduct:
         d = random_tangent(u, 5)
         au = model.apply_operator(u)
         energy, egrad = model.evaluate(u)
-        assert model.value(u, au) == model.value(u) == energy
+        assert model.value(u) == energy
         carried_energy, carried_egrad = model.evaluate(u, au)
         assert carried_energy == energy and carried_egrad.tobytes() == egrad.tobytes()
         assert model.hessian_qform(u, d, model.apply_operator(d)) == model.hessian_qform(u, d)
@@ -537,7 +554,6 @@ class TestFrameCache:
         products A U and A D are the objects `au` and `ad`."""
         return [
             lambda m: m.value(u),
-            lambda m: m.value(u, au),
             lambda m: m.evaluate(u),
             lambda m: m.evaluate(u, au),
             lambda m: m.euclidean_gradient(u),
@@ -615,10 +631,8 @@ class TestFrameCache:
         u = random_stiefel(12, 3, 5).u
         au = model.apply_operator(u)
         other = (1.0 + 1e-3) * au
-        first = model.value(u, au)
-        assert model.evaluate(u, au)[0] == first
-        assert model.value(u, other) == QuadraticTraceModel(model.a).value(u, other) != first
-        assert model.evaluate(u, other)[0] == model.value(u, other)
+        first, second = model.evaluate(u, au)[0], model.evaluate(u, other)[0]
+        assert second == QuadraticTraceModel(model.a).evaluate(u, other)[0] != first
         assert model.value(u) == QuadraticTraceModel(model.a).value(u)
 
     @pytest.mark.parametrize("potential", [False, True], ids=["trace", "density"])
@@ -901,6 +915,25 @@ class TestMatrixIO:
         with pytest.raises(ValueError) as err:
             load_matrix(path)
         assert str(err.value) == expect
+
+    @pytest.mark.parametrize(
+        "entries, k, token",
+        [("1 0 0 1e400", 4, "1e400"), ("-inf 0 0 -1E999", 4, "-1E999"),
+         ("1 1e400 0 2e400", 2, "1e400")],
+    )
+    def test_entry_beyond_float64_named(self, tmp_path, strict, entries, k, token):
+        """The first entry that reads as inf without being an inf literal."""
+        path = tmp_path / "huge.txt"
+        path.write_text(f"2\n{entries}\n")
+        expect = f"{path}: entry {k} ('{token}') is beyond the float64 range"
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == expect
+
+    def test_inf_literal_left_to_the_model(self, tmp_path):
+        path = tmp_path / "inf.txt"
+        path.write_text("2\n1 +Infinity\n-inf 1\n")
+        npt.assert_array_equal(load_matrix(path), [[1.0, np.inf], [-np.inf, 1.0]])
 
     @pytest.mark.parametrize("entry", ["x", "1,5"])
     def test_bad_entry_rejected(self, tmp_path, entry):

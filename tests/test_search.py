@@ -27,7 +27,7 @@ from grassopt import (
 from grassopt import search, stepsize
 from grassopt.linalg import LinalgError, RankDeficient
 from grassopt.manifold import frobenius_norm, ortho_defect
-from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH
+from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH, RETRACTIONS
 
 from conftest import Delegate, random_stiefel, random_tangent
 
@@ -447,8 +447,8 @@ class TestEvaluationProtocol:
 
 
 class CarriedLog(Delegate):
-    """Keeps apply_operator and logs every (U, supplied A U) it evaluates,
-    with `evaluate` in `seen` and with `value` in `valued`."""
+    """Keeps apply_operator, logs every (U, supplied A U) it evaluates with
+    `evaluate` in `seen`, and every U it values with `value` in `valued`."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -458,9 +458,9 @@ class CarriedLog(Delegate):
     def apply_operator(self, x):
         return self.model.apply_operator(x)
 
-    def value(self, u, au=None):
-        self.valued.append((u, au))
-        return self.model.value(u, au)
+    def value(self, u):
+        self.valued.append(u)
+        return self.model.value(u)
 
     def evaluate(self, u, au=None):
         self.seen.append((u, au))
@@ -570,7 +570,7 @@ class TestBacktrackingProduct:
         result = solve(logged, u0, self.CONFIG)
         assert result.status is Status.MAX_ITERATIONS
         assert sum(rec.backtracks for rec in result.trace) > 0
-        assert all(au is None for _, au in logged.seen + logged.valued)
+        assert all(au is None for _, au in logged.seen)
         return result, logged
 
     def test_stencil_is_applied_once_per_iterate(self, monkeypatch):
@@ -601,7 +601,7 @@ class TestBacktrackingProduct:
         result, logged = self.solve_logged(model, random_stiefel(60, 3, 22))
         trials = sum(rec.backtracks + 1 for rec in result.trace)
         assert len(counted.operands) == 1 + trials
-        frames = [logged.seen[0][0]] + [u for u, _ in logged.valued]
+        frames = [logged.seen[0][0]] + logged.valued
         assert all(x is u for x, u in zip(counted.operands, frames))
 
     @pytest.mark.parametrize(
@@ -692,6 +692,48 @@ class TestFormedOnce:
         # the carried exit's exact re-evaluation of the last iterate forms its
         # energy again, with the fresh A U, but not its density
         assert counts == {"energy": result.iters + 2, "density": result.iters + 1}
+
+
+class TestOperatorApplications:
+    """Applications of A per solve, the cost unit of the adaptive step's
+    claim, as formulas of the trace on every path."""
+
+    MODELS = [lambda: QuadraticTraceModel(random_symmetric(60, 3)), lambda: harmonic_lattice(64)]
+    CAP = 120
+
+    @staticmethod
+    def expected(strategy, retraction, dense, result):
+        if strategy == "adaptive" and retraction == "qr":
+            # A D per step, and A U at each exact evaluation: iterates 0,
+            # CARRY_REFRESH, 2 CARRY_REFRESH, ... and the exit
+            exact = result.iters // CARRY_REFRESH + 1 + (result.iters % CARRY_REFRESH != 0)
+            return result.iters + exact
+        if strategy == "adaptive":  # A U and A D per step, A U at the exit
+            return 2 * result.iters + 1
+        if strategy == "backtracking" and dense:  # A U per trial, and at the start
+            return result.total_retraction_evals + 1
+        return result.iters + 1  # A U per iterate; stencil trials use differences
+
+    @pytest.mark.parametrize("retraction", RETRACTIONS)
+    @pytest.mark.parametrize("strategy", ["adaptive", "backtracking", "none"])
+    @pytest.mark.parametrize("make", MODELS, ids=["dense", "stencil"])
+    def test_applications_per_solve(self, monkeypatch, make, strategy, retraction):
+        applied = []
+        apply_operator = TraceDensityModel.apply_operator
+
+        def counted(self, x):
+            applied.append(x)
+            return apply_operator(self, x)
+
+        monkeypatch.setattr(TraceDensityModel, "apply_operator", counted)
+        model = make()
+        config = SolveConfig(
+            epsilon=1e-14, max_iter=self.CAP, strategy=strategy, retraction=retraction
+        )
+        result = solve(model, random_stiefel(model.npts, 3, 0), config)
+        dense = isinstance(model.a, np.ndarray)
+        assert result.iters > CARRY_REFRESH
+        assert len(applied) == self.expected(strategy, retraction, dense, result)
 
 
 def nudged(u):
@@ -833,9 +875,9 @@ class ReadOnlyCheck(CarriedLog):
         self.check(x)
         return super().apply_operator(x)
 
-    def value(self, u, au=None):
+    def value(self, u):
         self.check(u)
-        return super().value(u, au)
+        return super().value(u)
 
     def euclidean_gradient(self, u):
         self.check(u)
