@@ -14,13 +14,15 @@ After its clock stops, each solve is digested (a SHA-256 of its status,
 iterations, trace without `elapsed`, final-frame bytes, energy, residual,
 both counters and diagnostic) and its output is checked by that tree's
 `workloads.check`, the benchmark's own output check.  Per workload and seed
-the script prints how many jobs are bit-identical to DIR and, per strategy,
-the median and quartiles of the ms/iter ratio (this checkout over DIR, one
-per job and round) and how often this checkout was faster.  Its first line
-names the BLAS it ran: OpenBLAS's config string (version and core, on
-which the dense product's bits depend) and its thread count, `unknown`
-where numpy's OpenBLAS does not report them.  It exits 1 if
-the trees take different iterations on a job (the timing would compare
+the script prints how many jobs are bit-identical to DIR, the largest
+relative difference of final energies |E - E_DIR| / max(1, |E_DIR|) over
+the jobs whose bits differ (0 if none do) and, per strategy, both trees'
+iteration totals, the median and quartiles of the ms/iter ratio (this
+checkout over DIR, one per job and round) and how often this checkout was
+faster.  Its first line names the BLAS it ran: OpenBLAS's config string
+(version and core, on which the dense product's bits depend) and its
+thread count, `unknown` where numpy's OpenBLAS does not report them.  It
+exits 1 if the trees take different iterations on a job (the timing would compare
 different work), if a job's digest in a later round differs from round 0 in
 either tree (a model kept state from one solve to the next), or if the
 check finds a solve's output wrong.  It writes nothing.
@@ -34,6 +36,7 @@ import gc
 import glob
 import hashlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -110,17 +113,17 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def timed_solve(tree, job) -> tuple[int, float, str, str]:
+def timed_solve(tree, job) -> tuple[int, float, str, str, float]:
     """(iterations, ms per iteration, digest, what is wrong with the output
-    by the tree's own `workloads.check`, "" if nothing) of one solve of
-    `job` with `tree`, a (package, workloads module) pair."""
+    by the tree's own `workloads.check`, "" if nothing, final energy) of one
+    solve of `job` with `tree`, a (package, workloads module) pair."""
     package, workloads = tree
     gc.collect()
     tic = time.perf_counter()
     result = package.solve(job.instance.model, job.instance.u0, job.config)
     elapsed = time.perf_counter() - tic
     ms = 1e3 * elapsed / max(result.iters, 1)
-    return result.iters, ms, digest(result), workloads.check(job, result)
+    return result.iters, ms, digest(result), workloads.check(job, result), result.final_energy
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -139,15 +142,22 @@ def compare(trees, name: str, seed: int, rounds: int) -> int:
     `workloads.check` finds wrong."""
     jobs = [workloads.WORKLOADS[name](seed) for _, workloads in trees]
     first: list[tuple[str, str]] = []  # the two trees' round-0 digests, per job
+    moved: list[float] = []  # relative energy differences of the jobs whose bits differ
+    totals: dict[str, list[int]] = {}  # the two trees' iterations, per strategy
     ratios: dict[str, list[float]] = {}
     faults = 0
     for r in range(rounds):
         for i, pair in enumerate(zip(*jobs)):
             order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
             runs = {side: timed_solve(trees[side], pair[side]) for side in order}
-            iters, ms, digests, wrong = zip(runs[0], runs[1])  # each (parent, this checkout)
+            iters, ms, digests, wrong, energy = zip(runs[0], runs[1])  # each (parent, change)
             if r == 0:
                 first.append(digests)
+                total = totals.setdefault(pair[1].strategy, [0, 0])
+                total[0] += iters[0]
+                total[1] += iters[1]
+                if digests[0] != digests[1]:
+                    moved.append(abs(energy[1] - energy[0]) / max(1.0, abs(energy[0])))
             label = f"{name} seed={seed} job={i} {pair[1].strategy} [{pair[1].instance.label}]"
             sides = zip(("parent", "this checkout"), digests, first[i], wrong)
             for tree, now, then, fault in sides:
@@ -170,6 +180,12 @@ def compare(trees, name: str, seed: int, rounds: int) -> int:
                   f"{ms[0]:.4f} -> {ms[1]:.4f}, ratio {ratio:.3f}{bits}")
     same = sum(parent == change for parent, change in first)
     print(f"abtime: {name} seed={seed}: {same}/{len(first)} jobs bit-identical to the parent")
+    worst = math.nan if any(map(math.isnan, moved)) else max(moved, default=0.0)
+    print(f"abtime: {name} seed={seed}: final energies differ by at most {worst:.3e} "
+          f"relative over the {len(moved)} jobs whose bits differ")
+    for strategy, (parent, change) in totals.items():
+        print(f"abtime: {name} seed={seed} {strategy}: {change} iterations in all, "
+              f"parent {parent}")
     for strategy, values in ratios.items():
         q1, median, q3 = quartiles(values)
         faster = sum(v < 1.0 for v in values)

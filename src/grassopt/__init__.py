@@ -8,7 +8,6 @@ from .linalg import (
     RankDeficient,
     ShapeMismatch,
     svd_thin,
-    sym_eig,
     thin_qr,
 )
 from .manifold import (
@@ -21,7 +20,6 @@ from .manifold import (
 from .objectives import (
     DirichletLaplacian,
     EnergyModel,
-    NonlinearLatticeModel,
     QuadraticTraceModel,
     TraceDensityModel,
     eigen_oracle,

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -118,7 +119,9 @@ def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
     Each entry is parsed as the flag `--key=value` of the same subcommand, so
     it gets the flag's type and choices; a repeatable flag collects every
-    entry of its key into a list."""
+    entry of its key into a list.  A `#` at the start of a line or after
+    whitespace starts a comment; any other `#` is part of the value, as in
+    a path."""
     if not getattr(args, "config", None):
         return
     path = Path(args.config)
@@ -126,7 +129,7 @@ def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser)
         raise ConfigError(f"config file not found: {path}")
     from_file: set[str] = set()
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -1,18 +1,16 @@
 """Dense factorization kernels with pinned numerical contracts.
 
-Thin wrappers over LAPACK (via numpy) that fix the conventions the rest of
-the package relies on: sign-fixed QR, descending singular values, ascending
-eigenvalues.  All functions are pure and operate on float64 arrays.
+Thin wrappers over LAPACK (via numpy) for the factorizations an iteration
+runs, fixing the conventions the rest of the package relies on: sign-fixed
+QR and descending singular values.  All functions are pure and operate on
+float64 arrays.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 RANK_TOL = 1e-12
-SYM_TOL = 1e-10  # the relative asymmetry ||A - A^T||_F / ||A||_F accepted as roundoff
 
 
 class LinalgError(Exception):
@@ -75,53 +73,3 @@ def svd_thin(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return p_mat, s, qt
-
-
-def symmetrized(mat: np.ndarray) -> Optional[np.ndarray]:
-    """The symmetric matrix a finite square `mat` stands for, or None.
-
-    That is `mat` itself, not a copy, if it equals its transpose, and else
-    A/2 + A^T/2 if ||A - A^T||_F <= SYM_TOL ||A||_F (None beyond).  The
-    norms are taken of A / max|a_ij|, whose entries lie in [-1, 1], and
-    A/2 + A^T/2 lies within the range of A, so neither the test nor the
-    result overflows on a finite A.  On entries of normal range A/2 + A^T/2
-    has the bits of (A + A^T)/2.
-    """
-    if np.array_equal(mat, mat.T):
-        return mat
-    unit = mat / max(mat.max(), -mat.min())  # not 0, as mat is not symmetric
-    if np.linalg.norm(unit - unit.T) > SYM_TOL * np.linalg.norm(unit):
-        return None
-    sym = np.multiply(mat, 0.5, order="C")
-    sym += 0.5 * mat.T
-    return sym
-
-
-def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a finite, exactly symmetric matrix, eigenvalues
-    ascending; the matrix is taken as it is, with no check."""
-    try:
-        evals, evecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return evals, evecs
-
-
-def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition, eigenvalues ascending.
-
-    An input equal to its transpose is solved as it is, with no copy; any
-    other is symmetrized as A/2 + A^T/2 (see `symmetrized`), and one whose
-    relative asymmetry exceeds SYM_TOL is rejected.  A non-finite input
-    raises ConvergenceFailure.
-    """
-    mat = _as_matrix(a)
-    n, m = mat.shape
-    if n != m:
-        raise ShapeMismatch(f"sym_eig needs a square matrix, got {n}x{m}")
-    if not np.isfinite(mat).all():
-        raise ConvergenceFailure("non-finite input to sym_eig")
-    sym = symmetrized(mat)
-    if sym is None:
-        raise ShapeMismatch(f"matrix is not symmetric within {SYM_TOL:g} relative")
-    return eigh(sym)

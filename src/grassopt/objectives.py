@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import SYM_TOL, ShapeMismatch, eigh, symmetrized
+from .linalg import ConvergenceFailure, ShapeMismatch
 from .manifold import StiefelPoint, TangentVector, project_tangent
 
 # Above this many multiply-adds n*n*p, a dense A X with p >= 2 columns is
@@ -143,6 +143,29 @@ class DirichletLaplacian:
         d = u[1:] - u[:-1]
         squares = np.vdot(d, d) + np.vdot(u[0], u[0]) + np.vdot(u[-1], u[-1])
         return 0.5 * (1.0 / self.h**2) * float(squares)
+
+
+SYM_TOL = 1e-10  # the relative asymmetry ||A - A^T||_F / ||A||_F accepted as roundoff
+
+
+def symmetrized(mat: np.ndarray) -> Optional[np.ndarray]:
+    """The symmetric matrix a finite square `mat` stands for, or None.
+
+    That is `mat` itself, not a copy, if it equals its transpose, and else
+    A/2 + A^T/2 if ||A - A^T||_F <= SYM_TOL ||A||_F (None beyond).  The
+    norms are taken of A / max|a_ij|, whose entries lie in [-1, 1], and
+    A/2 + A^T/2 lies within the range of A, so neither the test nor the
+    result overflows on a finite A.  On entries of normal range A/2 + A^T/2
+    has the bits of (A + A^T)/2.
+    """
+    if np.array_equal(mat, mat.T):
+        return mat
+    unit = mat / max(mat.max(), -mat.min())  # not 0, as mat is not symmetric
+    if np.linalg.norm(unit - unit.T) > SYM_TOL * np.linalg.norm(unit):
+        return None
+    sym = np.multiply(mat, 0.5, order="C")
+    sym += 0.5 * mat.T
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +342,8 @@ class TraceDensityModel(EnergyModel):
         return quad + 2.0 * self.h * weighted + 4.0 * self.gamma * self.h * float(sigma @ sigma)
 
 
-# The constructors of the trace-only and the lattice energies.
-QuadraticTraceModel = NonlinearLatticeModel = TraceDensityModel
+# The constructor of the trace-only energy.
+QuadraticTraceModel = TraceDensityModel
 
 
 def harmonic_lattice(
@@ -409,7 +432,8 @@ def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]
     an integer 1 <= p <= n.
 
     The model's constructor made its dense A finite and exactly symmetric,
-    so A is eigensolved as the model holds it, with no check and no copy.
+    so A is eigensolved as the model holds it, with no check and no copy;
+    a failed eigensolve raises ConvergenceFailure.
     """
     if not isinstance(model, TraceDensityModel):
         raise TypeError(f"eigen_oracle needs a TraceDensityModel, got {type(model).__name__}")
@@ -420,7 +444,10 @@ def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]
     n = model.a.shape[0]
     if not (_is_count(p) and p <= n):
         raise ValueError(f"p must be an integer in [1, {n}], got {p!r}")
-    evals, evecs = eigh(model.a)
+    try:
+        evals, evecs = np.linalg.eigh(model.a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     with np.errstate(over="raise"):  # an energy beyond float64 raises FloatingPointError
         energy = float(np.sum(0.5 * evals[:p]))
     return energy, StiefelPoint(evecs[:, :p])

@@ -37,7 +37,6 @@ FAILED, with that frame's own energy and residual.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,8 +56,9 @@ from .manifold import (
     retract_qr,
     retract_qr_factors,
 )
+from .objectives import EnergyModel, _is_count, grassmann_hessian_qform
 # grassmann_gradient is not called here; it stays importable for callers that patch it
-from .objectives import EnergyModel, grassmann_gradient, grassmann_hessian_qform  # noqa: F401
+from .objectives import grassmann_gradient  # noqa: F401
 
 STRATEGIES = ("adaptive", "backtracking", "none")
 DIRECTIONS = ("steepest", "cg_restart")
@@ -109,7 +109,7 @@ class SolveConfig:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         for name in ("max_iter", "cg_restart_period"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_count(value):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")

@@ -102,6 +102,29 @@ def test_different_iteration_counts_fail(tmp_path, load, capsys):
     assert "0/2 jobs bit-identical" in captured.out
 
 
+@pytest.mark.parametrize("eps, moved", [((1e-8, 1e-8), 0), ((1e-4, 1e-10), 2)],
+                         ids=["same", "moved"])
+def test_reports_iterations_and_energies_moved(tmp_path, load, capsys, eps, moved):
+    """Each tree's iteration total per strategy, and the largest relative
+    difference of final energies over the jobs whose bits differ."""
+    tags = ("parent", "change")
+    trees = [load(stub_tree(tmp_path / tag, eps=e), tag) for tag, e in zip(tags, eps)]
+    abtime.compare(trees, "small-batch", 1, rounds=1)
+    out = capsys.readouterr().out
+    parent, change = (
+        [package.solve(job.instance.model, job.instance.u0, job.config)
+         for job in workloads.WORKLOADS["small-batch"](1)]
+        for package, workloads in trees
+    )
+    for strategy, p, c in zip(("adaptive", "backtracking"), parent, change):
+        assert f"seed=1 {strategy}: {c.iters} iterations in all, parent {p.iters}" in out
+    worst = max(abs(c.final_energy - p.final_energy) / max(1.0, abs(p.final_energy))
+                for p, c in zip(parent, change))
+    assert (moved == 0) == (worst == 0.0)
+    assert (f"final energies differ by at most {worst:.3e} relative over the {moved} jobs "
+            "whose bits differ") in out
+
+
 def test_wrong_output_fails(tmp_path, load, capsys):
     """Each tree's own check judges its own solves: a fault per job and tree."""
     root = stub_tree(tmp_path, fault="energy below the reference")

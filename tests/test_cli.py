@@ -456,6 +456,21 @@ class TestConfigFile:
         oracle, _ = eigen_oracle(QuadraticTraceModel(random_symmetric(30, seed=9)), 2)
         assert abs(summary["final_energy"] - oracle) <= 1e-7 * (1.0 + abs(oracle))
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """Only a `#` at the start of a line or after whitespace starts a
+        comment; this path was once cut off at its `#`."""
+        mat = random_symmetric(8, seed=6)
+        mfile = tmp_path / "m#1.txt"
+        body = "\n".join(" ".join(f"{x:.17e}" for x in row) for row in mat)
+        mfile.write_text(f"8\n{body}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment line\nmatrix-file = {mfile}  # the # file\np = 2\n")
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", "--config", str(cfg), "--eps", "1e-9", "--out", str(out)) == 0
+        summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+        oracle, _ = eigen_oracle(QuadraticTraceModel(mat), 2)
+        assert abs(summary["final_energy"] - oracle) <= 1e-8 * (1.0 + abs(oracle))
+
     def test_missing_file(self):
         assert run_cli("run", "--config", "/nonexistent/nowhere.cfg") == 1
 

@@ -7,11 +7,8 @@ from grassopt import (
     RankDeficient,
     ShapeMismatch,
     svd_thin,
-    sym_eig,
     thin_qr,
 )
-
-from conftest import traced_peak
 
 
 class TestThinQR:
@@ -99,74 +96,3 @@ class TestSvdThin:
             m = rng.standard_normal((n, p_cols))
             p, s, qt = svd_thin(m)
             assert np.linalg.norm(p * s @ qt - m) <= 1e-11 * np.linalg.norm(m)
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        evals, evecs = sym_eig(np.diag([1.0, 2.0, 3.0]))
-        npt.assert_allclose(evals, [1.0, 2.0, 3.0])
-        npt.assert_allclose(np.abs(evecs), np.eye(3), atol=1e-15)
-
-    def test_exchange_matrix(self):
-        evals, _ = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        npt.assert_allclose(evals, [-1.0, 1.0], atol=1e-15)
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((30, 30))
-        a = 0.5 * (g + g.T)
-        evals, evecs = sym_eig(a)
-        nrm = np.linalg.norm(a)
-        assert np.linalg.norm(a @ evecs - evecs * evals) <= 1e-10 * nrm
-        assert np.linalg.norm(evecs.T @ evecs - np.eye(30)) <= 1e-12
-        # trace consistency
-        assert abs(np.sum(evals) - np.trace(a)) <= 1e-9 * nrm
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_nan_propagates(self):
-        a = np.full((3, 3), np.nan)
-        with pytest.raises((ConvergenceFailure, ShapeMismatch)):
-            sym_eig(a)
-
-    def test_infinite_rejected_before_the_solve(self):
-        with pytest.raises(ConvergenceFailure, match="non-finite input to sym_eig"):
-            sym_eig(np.array([[1.0, np.inf], [np.inf, 1.0]]))
-
-    def test_huge_symmetric_entries_do_not_overflow(self, strict):
-        """Entries near the top of the float64 range are solved as they are;
-        (A + A^T)/2 would overflow to inf."""
-        evals, evecs = sym_eig(np.array([[1e308, 0.0], [0.0, 1e308]]))
-        npt.assert_array_equal(evals, [1e308, 1e308])
-        npt.assert_array_equal(np.abs(evecs), np.eye(2))
-
-    def test_overflowing_asymmetry_rejected(self, strict):
-        """Both Frobenius norms of [[1, 1e160], [0, 1]] overflow to inf
-        unscaled, which once let it pass as symmetric."""
-        with pytest.raises(ShapeMismatch, match="not symmetric within 1e-10"):
-            sym_eig(np.array([[1.0, 1e160], [0.0, 1.0]]))
-
-    def test_huge_nearly_symmetric_entries_symmetrized_in_range(self, strict):
-        """A/2 + A^T/2 keeps a diagonal of 1e308; A + A^T would make it inf."""
-        evals, evecs = sym_eig(np.array([[1e308, 1.0], [2.0, 1e308]]))
-        npt.assert_array_equal(evals, [1e308, 1e308])
-        assert np.isfinite(evecs).all()
-
-    def test_nearly_symmetric_has_the_bits_of_the_average(self):
-        a = np.random.default_rng(5).standard_normal((40, 40))
-        a = a + a.T
-        a[3, 7] += 1e-12
-        evals, evecs = sym_eig(a)
-        ref_vals, ref_vecs = np.linalg.eigh(0.5 * (a + a.T))
-        npt.assert_array_equal(evals, ref_vals)
-        npt.assert_array_equal(evecs, ref_vecs)
-
-    def test_symmetric_input_is_not_copied(self):
-        """An exactly symmetric input is solved as it is: the traced peak is
-        the eigenvectors, not a symmetrized copy beside them (2.00 n^2
-        doubles when sym_eig copied)."""
-        g = np.random.default_rng(3).standard_normal((400, 400))
-        a = g + g.T
-        assert traced_peak(lambda: sym_eig(a), 400) <= 1.1

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassopt import (
+    ConvergenceFailure,
     DirichletLaplacian,
     EnergyModel,
-    NonlinearLatticeModel,
     QuadraticTraceModel,
     ShapeMismatch,
     SolveConfig,
@@ -50,15 +50,15 @@ class TestConstruction:
 
     def test_lattice_rejects_bad_mesh(self):
         with pytest.raises(ValueError):
-            NonlinearLatticeModel(a=np.eye(3), v=np.zeros(3), h=0.0, gamma=1.0)
+            TraceDensityModel(a=np.eye(3), v=np.zeros(3), h=0.0, gamma=1.0)
 
     def test_lattice_rejects_negative_interaction(self):
         with pytest.raises(ValueError):
-            NonlinearLatticeModel(a=np.eye(3), v=np.zeros(3), h=0.1, gamma=-1.0)
+            TraceDensityModel(a=np.eye(3), v=np.zeros(3), h=0.1, gamma=-1.0)
 
     def test_lattice_rejects_wrong_potential_length(self):
         with pytest.raises(ShapeMismatch):
-            NonlinearLatticeModel(a=np.eye(3), v=np.zeros(4), h=0.1, gamma=1.0)
+            TraceDensityModel(a=np.eye(3), v=np.zeros(4), h=0.1, gamma=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("potential", [False, True], ids=["quadratic", "lattice"])
@@ -84,12 +84,12 @@ class TestConstruction:
     def test_potential_beyond_float64_named(self, strict, huge):
         v = np.array([0, huge, 0])
         with pytest.raises(ValueError, match="potential has entries beyond the float64 range"):
-            NonlinearLatticeModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
+            TraceDensityModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_potential(self, bad):
         with pytest.raises(ValueError, match="potential has non-finite entries"):
-            NonlinearLatticeModel(a=np.eye(3), v=np.array([0.0, bad, 0.0]), h=0.1, gamma=1.0)
+            TraceDensityModel(a=np.eye(3), v=np.array([0.0, bad, 0.0]), h=0.1, gamma=1.0)
 
     @pytest.mark.parametrize(
         "h, gamma, named",
@@ -98,11 +98,11 @@ class TestConstruction:
     )
     def test_rejects_non_finite_scalars(self, h, gamma, named):
         with pytest.raises(ValueError, match=named):
-            NonlinearLatticeModel(a=np.eye(3), v=np.zeros(3), h=h, gamma=gamma)
+            TraceDensityModel(a=np.eye(3), v=np.zeros(3), h=h, gamma=gamma)
 
     def test_potential_is_copied_before_freezing(self):
         v = np.zeros(3)
-        model = NonlinearLatticeModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
+        model = TraceDensityModel(a=np.eye(3), v=v, h=0.1, gamma=1.0)
         v[0] = 1.0  # the caller's array stays writable
         assert model.v[0] == 0.0 and not model.v.flags.writeable
 
@@ -252,7 +252,7 @@ class TestValuesAndGradients:
 
     def test_lattice_reduces_to_quadratic(self):
         model = small_lattice()
-        bare = NonlinearLatticeModel(
+        bare = TraceDensityModel(
             a=model.a, v=np.zeros(model.npts), h=model.h, gamma=0.0
         )
         quad = QuadraticTraceModel(model.a)
@@ -264,7 +264,7 @@ class TestValuesAndGradients:
 
     def test_lattice_pure_interaction_gradient(self):
         # A = 0, V = 0, gamma = 1, h = 1: grad = 2 diag(rho) U
-        model = NonlinearLatticeModel(a=np.zeros((4, 4)), v=np.zeros(4), h=1.0, gamma=1.0)
+        model = TraceDensityModel(a=np.zeros((4, 4)), v=np.zeros(4), h=1.0, gamma=1.0)
         u = np.zeros((4, 1))
         u[1, 0] = 1.0
         grad = model.euclidean_gradient(u)
@@ -393,7 +393,7 @@ class TestSuppliedProducts:
         )
 
     def test_model_is_final(self):
-        assert QuadraticTraceModel is NonlinearLatticeModel is TraceDensityModel
+        assert QuadraticTraceModel is TraceDensityModel
         with pytest.raises(TypeError, match="final"):
 
             class Shifted(TraceDensityModel):
@@ -867,6 +867,14 @@ class TestEigenOracle:
         them made it 2.00 n^2 doubles."""
         model = QuadraticTraceModel(random_symmetric(400, 3))
         assert traced_peak(lambda: eigen_oracle(model, 5), 400) <= 1.1
+
+    def test_failed_eigensolve_raises_convergence_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eigen_oracle(DIAG123, 1)
 
     def test_energy_beyond_float64_raises(self):
         model = QuadraticTraceModel(np.diag([1e308] * 4))
