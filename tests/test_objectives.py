@@ -890,6 +890,80 @@ class TestEigenOracle:
         other = random_stiefel(30, 4, 50)
         assert model.value(other.u) >= energy - 1e-12
 
+    def test_diagonal(self):
+        energy, frame = eigen_oracle(DIAG123, 3)
+        assert energy == 3.0
+        npt.assert_allclose(np.abs(frame.u), np.eye(3), atol=1e-15)
+
+    def test_exchange_matrix(self):
+        model = QuadraticTraceModel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert eigen_oracle(model, 1)[0] == pytest.approx(-0.5, abs=1e-15)
+        assert eigen_oracle(model, 2)[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_random_residual(self):
+        """With p = n the frame diagonalizes A, and twice the energy is tr A."""
+        a = random_symmetric(30, 11)
+        energy, frame = eigen_oracle(QuadraticTraceModel(a), 30)
+        u, nrm = frame.u, np.linalg.norm(a)
+        evals = np.einsum("ij,ij->j", u, a @ u)
+        assert np.linalg.norm(a @ u - u * evals) <= 1e-10 * nrm
+        assert np.linalg.norm(u.T @ u - np.eye(30)) <= 1e-12
+        assert np.all(np.diff(evals) >= -1e-12 * nrm)  # ascending
+        assert abs(2.0 * energy - np.trace(a)) <= 1e-9 * nrm
+
+
+class TestSymmetrized:
+    """The constructor's symmetry rule, `objectives.symmetrized`, on its own."""
+
+    def test_asymmetric_rejected(self):
+        assert objectives.symmetrized(np.array([[0.0, 1.0], [0.0, 0.0]])) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected_before_the_symmetry_test(self, bad, monkeypatch):
+        """The rule assumes a finite A, so the constructor refuses any other
+        before it asks."""
+
+        def unreachable(mat):
+            raise AssertionError("symmetrized called on a non-finite matrix")
+
+        monkeypatch.setattr(objectives, "symmetrized", unreachable)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            QuadraticTraceModel(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_huge_symmetric_entries_do_not_overflow(self, strict):
+        """Entries near the top of the float64 range are kept as they are;
+        (A + A^T)/2 would overflow to inf."""
+        a = np.array([[1e308, 0.0], [0.0, 1e308]])
+        assert objectives.symmetrized(a) is a
+
+    def test_overflowing_asymmetry_rejected(self, strict):
+        """Both Frobenius norms of [[1, 1e160], [0, 1]] overflow to inf
+        unscaled, which once let it pass as symmetric."""
+        assert objectives.symmetrized(np.array([[1.0, 1e160], [0.0, 1.0]])) is None
+
+    def test_huge_nearly_symmetric_entries_symmetrized_in_range(self, strict):
+        """A/2 + A^T/2 keeps a diagonal of 1e308; A + A^T would make it inf."""
+        sym = objectives.symmetrized(np.array([[1e308, 1.0], [2.0, 1e308]]))
+        npt.assert_array_equal(sym, [[1e308, 1.5], [1.5, 1e308]])
+
+    def test_nearly_symmetric_has_the_bits_of_the_average(self):
+        a = np.random.default_rng(5).standard_normal((40, 40))
+        a = a + a.T
+        a[3, 7] += 1e-12
+        before = a.copy()
+        sym = objectives.symmetrized(a)
+        assert sym.flags.c_contiguous and not np.shares_memory(sym, a)
+        assert sym.tobytes() == (0.5 * (before + before.T)).tobytes()
+        npt.assert_array_equal(a, before)
+
+    def test_symmetric_input_is_not_copied(self):
+        """An exactly symmetric input is returned as it is: the traced peak is
+        the elementwise comparison's booleans (0.18 n^2 doubles), not a copy
+        of A (1.00)."""
+        a = random_symmetric(400, 3)
+        assert objectives.symmetrized(a) is a
+        assert traced_peak(lambda: objectives.symmetrized(a), 400) <= 0.5
+
 
 class TestRandomSymmetric:
     def test_bits_of_the_average(self):
