@@ -19,13 +19,15 @@ relative difference of final energies |E - E_DIR| / max(1, |E_DIR|) over
 the jobs whose bits differ (0 if none do) and, per strategy, both trees'
 iteration totals, the median and quartiles of the ms/iter ratio (this
 checkout over DIR, one per job and round) and how often this checkout was
-faster.  Its first line names the BLAS it ran: OpenBLAS's config string
-(version and core, on which the dense product's bits depend) and its
-thread count, `unknown` where numpy's OpenBLAS does not report them.  It
-exits 1 if the trees take different iterations on a job (the timing would compare
-different work), if a job's digest in a later round differs from round 0 in
-either tree (a model kept state from one solve to the next), or if the
-check finds a solve's output wrong.  It writes nothing.
+faster.  Its first line names the kernels it ran: numpy's version (its
+`einsum` and elementwise loops make the density terms' bits), OpenBLAS's
+config string (version and core, on which the dense product's bits depend)
+and its thread count, `unknown` where numpy's OpenBLAS does not report
+them.  It exits 1 if the trees take different iterations on a job (the
+timing would compare different work), if a job's digest in a later round
+differs from round 0 in either tree (a model kept state from one solve to
+the next), or if the check finds a solve's output wrong.  It writes
+nothing.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ def load_tree(root: Path, tag: str):
 
 
 def blas_kernel() -> str:
-    """The line naming the BLAS: the config string and thread count of
-    numpy's bundled OpenBLAS, each `unknown` where the library lacks it."""
+    """The line naming numpy's version and its BLAS: the config string and
+    thread count of numpy's bundled OpenBLAS, each `unknown` where the
+    library lacks it."""
     import numpy as np
 
     config = threads = "unknown"
@@ -93,7 +96,7 @@ def blas_kernel() -> str:
         if get_threads is not None:
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             threads = str(get_threads())
-    return f"abtime: BLAS {config}, threads {threads}"
+    return f"abtime: numpy {np.__version__}, BLAS {config}, threads {threads}"
 
 
 def digest(result) -> str:

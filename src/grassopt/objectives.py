@@ -181,14 +181,15 @@ class TraceDensityModel(EnergyModel):
     eigenvectors of A.  The class is final.
 
     The model keeps one record of what it formed for the last read-only
-    frame it saw: rho, the exact A U and the energy.  Only the same array
-    object, still read-only, is served from it, so a read-only frame forms
-    each at most once: A U on a dense A once per backtracking trial, whose
-    energy needs it, and on the stencil once per accepted frame, for its
-    gradient.  The A U handed to `evaluate` goes into a record of its own,
-    which is never kept; a writable frame is never kept either.
-    `apply_operator` forms every product with A: the record's A U and the
-    A D of `hessian_apply` and `hessian_qform`.
+    frame it saw: rho, the weight w = 2h (V + gamma rho), the exact A U and
+    the energy.  Only the same array object, still read-only, is served
+    from it, so a read-only frame forms each at most once: A U on a dense
+    A once per backtracking trial, whose energy needs it, and on the
+    stencil once per accepted frame, for its gradient.  The A U handed to
+    `evaluate` goes into a record of its own, which is never kept; a
+    writable frame is never kept either.  `apply_operator` forms every
+    product with A: the record's A U and the A D of `hessian_apply` and
+    `hessian_qform`.
     """
 
     a: Union[np.ndarray, DirichletLaplacian]
@@ -238,7 +239,7 @@ class TraceDensityModel(EnergyModel):
         """rho_r = sum_i U_ri^2, read-only; formed once per read-only frame."""
         formed = self._formed(u)
         if "rho" not in formed:
-            rho = formed["rho"] = (u * u).sum(axis=1)
+            rho = formed["rho"] = np.einsum("ij,ij->i", u, u)
             rho.setflags(write=False)
         return formed["rho"]
 
@@ -246,7 +247,7 @@ class TraceDensityModel(EnergyModel):
         return self._energy(u, self._formed(u), self._rho(u))
 
     def euclidean_gradient(self, u):
-        return self._gradient(u, self._product(u, self._formed(u)), self._rho(u))
+        return self._gradient(u, self._product(u, self._formed(u)))
 
     def apply_operator(self, x):
         """A x; on a dense A above TRANSPOSED_GEMM_MIN_WORK as (x^T A)^T, A being symmetric."""
@@ -260,8 +261,7 @@ class TraceDensityModel(EnergyModel):
 
     def evaluate(self, u, au=None):
         formed = self._formed(u) if au is None else {"au": au}  # a handed product's, not kept
-        rho = self._rho(u)
-        return self._energy(u, formed, rho), self._gradient(u, self._product(u, formed), rho)
+        return self._energy(u, formed, self._rho(u)), self._gradient(u, self._product(u, formed))
 
     _last = (None, None)  # (read-only frame, its record); not a dataclass field
 
@@ -289,6 +289,16 @@ class TraceDensityModel(EnergyModel):
         """The density, or None for a model without the density terms."""
         return None if self.v is None else self.density(u)
 
+    def _weight(self, u):
+        """w_r = 2h (V_r + gamma rho_r), which scales the rows of U in the
+        gradient and of D in the Hessian action, read-only; formed once per
+        read-only frame, for a model with a potential."""
+        formed = self._formed(u)
+        if "w" not in formed:
+            w = formed["w"] = (2.0 * self.h) * (self.v + self.gamma * self.density(u))
+            w.setflags(write=False)
+        return formed["w"]
+
     def _energy(self, u, formed, rho):
         """E(U) with the density `rho`, formed once for the record `formed` of
         the frame `u`: from its A U, or on the stencil from the differences."""
@@ -304,42 +314,33 @@ class TraceDensityModel(EnergyModel):
             formed["energy"] = energy
         return formed["energy"]
 
-    def _gradient(self, u, au, rho):
-        if rho is None:
+    def _gradient(self, u, au):
+        if self.v is None:
             return au
-        return (
-            au
-            + 2.0 * self.h * (self.v[:, None] * u)
-            + 2.0 * self.gamma * self.h * (rho[:, None] * u)
-        )
+        return au + self._weight(u)[:, None] * u
 
     def hessian_apply(self, u, d):
         ad = self.apply_operator(d)
         if self.v is None:
             return ad
-        rho = self.density(u)
-        sigma = (u * d).sum(axis=1)
-        return (
-            ad
-            + 2.0 * self.h * (self.v[:, None] * d)
-            + 2.0 * self.gamma * self.h * (rho[:, None] * d + 2.0 * sigma[:, None] * u)
-        )
+        sigma = np.einsum("ij,ij->i", u, d)
+        scale = 4.0 * self.gamma * self.h
+        return ad + self._weight(u)[:, None] * d + scale * (sigma[:, None] * u)
 
     def hessian_qform(self, u, d, ad=None):
-        """<D, A D> + 2h sum_r (V_r + gamma rho_r) |d_r|^2 + 4 gamma h sum_r sigma_r^2,
-        with sigma_r = <u_r, d_r>: the density terms from row sums, with no
-        n-by-p Hessian action.  Without V it is <D, A D>, with the bits of
-        the default."""
+        """<D, A D> + sum_r w_r |d_r|^2 + 4 gamma h sum_r sigma_r^2, with the
+        weight w and sigma_r = <u_r, d_r>: the density terms from row sums,
+        with no n-by-p Hessian action.  Without V it is <D, A D>, with the
+        bits of the default."""
         if ad is None:
             ad = self.apply_operator(d)
         quad = float((d * ad).sum())
         if self.v is None:
             return quad
-        rho = self.density(u)
         sigma = np.einsum("ij,ij->i", u, d)
         dd = np.einsum("ij,ij->i", d, d)
-        weighted = float((self.v + self.gamma * rho) @ dd)
-        return quad + 2.0 * self.h * weighted + 4.0 * self.gamma * self.h * float(sigma @ sigma)
+        interaction = 4.0 * self.gamma * self.h * float(sigma @ sigma)
+        return quad + float(self._weight(u) @ dd) + interaction
 
 
 # The constructor of the trace-only energy.

@@ -7,6 +7,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
@@ -145,9 +146,16 @@ def test_names_the_blas_first(tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(var, "1")  # restored after main pins them
     assert abtime.main(["--parent", str(root), "--workload", "small-batch"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"abtime: BLAS OpenBLAS \d\S* .+, threads \d+", line)
+    assert re.fullmatch(r"abtime: numpy \S+, BLAS OpenBLAS \d\S* .+, threads \d+", line)
+
+
+def test_names_numpy_beside_the_blas():
+    """numpy's own loops (`einsum`, elementwise products) make the density
+    terms' bits, so the first line names numpy's version before the BLAS."""
+    assert abtime.blas_kernel().startswith(f"abtime: numpy {np.__version__}, BLAS ")
 
 
 def test_blas_unknown_without_the_symbols(monkeypatch):
     monkeypatch.setattr(abtime.ctypes, "CDLL", lambda path: object())
-    assert abtime.blas_kernel() == "abtime: BLAS unknown, threads unknown"
+    want = f"abtime: numpy {np.__version__}, BLAS unknown, threads unknown"
+    assert abtime.blas_kernel() == want
