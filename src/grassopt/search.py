@@ -70,6 +70,9 @@ _CG_GROWTH = 1e3
 
 # what ends a solve as FAILED, not in a traceback (RuntimeWarning: warnings as errors)
 NUMERICAL_FAILURES = (LinalgError, FloatingPointError, RuntimeWarning)
+# a finite gradient past ~1e154 overflows the norm, which then raises whatever the
+# warnings filter; as a decorator, errstate costs half what a with-block does
+_residual_norm = np.errstate(over="raise")(frobenius_norm)
 
 # Iterations between exact products A U when A U is carried.  The relative
 # drift of the carried product, ||A U_carried - A U||_F / ||A U||_F, grows
@@ -200,7 +203,7 @@ def _evaluate(model: EnergyModel, u: np.ndarray, au: Optional[np.ndarray]):
         return energy, None, None, math.nan
     ug = u.T @ egrad
     grad = project_tangent(u, egrad, ug)
-    return energy, ug, grad, frobenius_norm(grad)
+    return energy, ug, grad, _residual_norm(grad)
 
 
 def solve(model: EnergyModel, u0: StiefelPoint, config: SolveConfig) -> SolveResult:

@@ -57,11 +57,13 @@ def traced_peak(call, n):
 
 @pytest.fixture(params=[False, True], ids=["warnings", "warnings-as-errors"])
 def strict(request):
-    """Runs a test as it is and with every RuntimeWarning an error."""
-    with warnings.catch_warnings():
-        if request.param:
-            warnings.simplefilter("error", RuntimeWarning)
+    """Runs a test with RuntimeWarnings at Python's default action, where the
+    test must emit none, and with every RuntimeWarning an error.  Each mode
+    sets its action itself, whatever filter the run set."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("error" if request.param else "default", RuntimeWarning)
         yield request.param
+    assert not [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture

@@ -119,16 +119,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             harmonic_lattice(8, **kwargs)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "kwargs, named",
         [({"length": 1e300}, "mesh width"), ({"well": 1e308}, "potential"),
          ({"npts": 1000, "length": 1e156, "well": 0.0}, "potential")],
         ids=["mesh-width", "well", "zero-well"],
     )
-    def test_harmonic_lattice_names_an_overflow(self, kwargs, named):
+    def test_harmonic_lattice_names_an_overflow(self, strict, kwargs, named):
         """A potential that overflows (or is 0 * inf) is named by the
-        constructors' checks, also when RuntimeWarnings are raised as errors."""
+        constructors' checks, whether RuntimeWarnings are errors or not."""
         with pytest.raises(ValueError, match=named):
             harmonic_lattice(**{"npts": 8, **kwargs})
 

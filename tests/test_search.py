@@ -1,3 +1,4 @@
+import contextlib
 import re
 import warnings
 from dataclasses import replace
@@ -34,6 +35,7 @@ from conftest import Delegate, random_stiefel, random_tangent
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 MIX13 = StiefelPoint(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2))
 STEP_INF = "QR retraction: step |t| ||D||_F = inf is not finite"
+OVERFLOW = "overflow encountered in dot"
 
 
 def failed_step_shrinks(result):
@@ -1133,27 +1135,32 @@ class TestFailureHandling:
         assert result.diagnostic == "iteration 3: injected"
         assert np.isnan(result.final_energy) and np.isnan(result.final_residual)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "model, strategy, first_step, message",
         [
-            (harmonic_lattice(16, well=1e300), "adaptive", 1e-2, "overflow encountered"),
-            (harmonic_lattice(16, well=1e300), "backtracking", 1e-2, "overflow encountered"),
+            (harmonic_lattice(16, well=1e300), "adaptive", 1e-2, OVERFLOW),
+            (harmonic_lattice(16, well=1e300), "backtracking", 1e-2, OVERFLOW),
             (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "backtracking", 1e308, STEP_INF),
             (QuadraticTraceModel(10.0 * random_symmetric(20, 1)), "none", 1e308, STEP_INF),
         ],
         ids=["evaluation-adaptive", "evaluation-backtracking", "step-backtracking", "step-none"],
     )
-    def test_overflow_fails_cleanly_with_warnings_as_errors(
-        self, model, strategy, first_step, message
-    ):
+    def test_overflow_fails_cleanly(self, strict, model, strategy, first_step, message):
         """An overflow in an evaluation or in U + tD ends the solve failed at
-        iteration 0, also when RuntimeWarnings are raised as errors."""
+        iteration 0 with one diagnostic, whether RuntimeWarnings are errors
+        or not, and emits no warning."""
         config = SolveConfig(strategy=strategy, first_step=first_step)
         result = solve(model, random_stiefel(model.npts, 2, 0), config)
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic.startswith(f"iteration 0: {message}")
 
+    def test_strict_sets_its_own_action(self, strict):
+        """Each `strict` mode holds whatever filter the run set (the suite's
+        own makes RuntimeWarnings errors): only the strict one raises."""
+        with warnings.catch_warnings(record=True) as seen:
+            with pytest.raises(RuntimeWarning) if strict else contextlib.nullcontext():
+                warnings.warn("probe", RuntimeWarning)
+        assert len(seen) == (not strict)
 
     @pytest.mark.parametrize("shape", [(9, 3), (3, 3), (10, 2)], ids=["rows", "square", "columns"])
     def test_wrong_gradient_shape_fails_cleanly(self, shape):
@@ -1177,13 +1184,10 @@ class TestStepOverflow:
 
     @pytest.mark.parametrize("retraction, name", [("qr", "QR"), ("geodesic", "geodesic")])
     @pytest.mark.parametrize("strategy", ["none", "backtracking"])
-    def test_named_at_iteration_0(self, strategy, retraction, name):
+    def test_named_at_iteration_0(self, strict, strategy, retraction, name):
         model = QuadraticTraceModel(random_symmetric(20, 1))
         config = SolveConfig(strategy=strategy, retraction=retraction, first_step=1e308)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = solve(model, random_stiefel(20, 2, 0), config)
-        assert not caught
+        result = solve(model, random_stiefel(20, 2, 0), config)
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic.startswith(f"iteration 0: {name} retraction: step |t| ")
         assert result.diagnostic.endswith(" = inf is not finite")
