@@ -18,6 +18,7 @@ from .manifold import (
     retract_qr,
 )
 from .objectives import (
+    DenseSymmetric,
     DirichletLaplacian,
     EnergyModel,
     QuadraticTraceModel,

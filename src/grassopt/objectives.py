@@ -82,9 +82,12 @@ def _is_count(value) -> bool:
 
 
 def _float64(convert, x, name: str) -> np.ndarray:
-    """convert(x, dtype=float), raising ValueError on an entry beyond the
-    float64 range rather than casting it to inf.  Only a cast can overflow,
-    so a float64 array is checked by no pass of its own."""
+    """convert(x, dtype=float), raising ValueError on complex entries, whose
+    imaginary parts the cast would drop, and on an entry beyond the float64
+    range rather than casting it to inf.  Only a cast can overflow, so a
+    float64 array is checked by no pass of its own."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} has complex entries")
     try:
         with np.errstate(over="raise"):
             return convert(x, dtype=float)
@@ -94,7 +97,7 @@ def _float64(convert, x, name: str) -> np.ndarray:
 
 def _check_height(n: int, x: np.ndarray) -> None:
     """Raise ShapeMismatch unless `x` has the operator's `n` rows."""
-    if x.shape[0] != n:
+    if x.shape[:1] != (n,):
         raise ShapeMismatch(f"operator of size {n} applied to shape {x.shape}")
 
 
@@ -104,7 +107,7 @@ class DirichletLaplacian:
     width h, with zero Dirichlet values beyond both ends:
     (A x)_r = (2 x_r - x_{r-1} - x_{r+1}) / h^2.
 
-    It stores no matrix, so its product and its kinetic energy cost
+    It stores no matrix, so its product and its trace energy cost
     O(npts * p) time and memory for an npts-by-p block.
     """
 
@@ -134,11 +137,11 @@ class DirichletLaplacian:
         out *= 1.0 / self.h**2
         return out
 
-    def kinetic_energy(self, u: np.ndarray) -> float:
+    def trace_energy(self, u: np.ndarray, product=None) -> float:
         """tr(U^T A U)/2 as ||dU||_F^2 / (2 h^2), where dU is the
-        difference of U with the zero rows beyond its ends.  A sum of
-        squares does not cancel; the sum of U * (A U) loses about four
-        digits on a fine grid."""
+        difference of U with the zero rows beyond its ends; `product` is
+        not called.  A sum of squares does not cancel; the sum of U * (A U)
+        loses about four digits on a fine grid."""
         _check_height(self.npts, u)
         d = u[1:] - u[:-1]
         squares = np.vdot(d, d) + np.vdot(u[0], u[0]) + np.vdot(u[-1], u[-1])
@@ -168,15 +171,52 @@ def symmetrized(mat: np.ndarray) -> Optional[np.ndarray]:
     return sym
 
 
+class DenseSymmetric:
+    """A dense symmetric matrix, `mat`, as an operator.
+
+    The constructor takes a non-empty square matrix of finite real entries
+    within SYM_TOL of symmetric, and keeps one read-only copy of the
+    symmetric matrix it stands for (`symmetrized`), never again checked.
+    """
+
+    def __init__(self, mat):
+        mat = _float64(np.asarray, mat, "matrix")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ShapeMismatch(f"need a non-empty square matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
+        sym = symmetrized(mat)
+        if sym is None:
+            raise ValueError(f"matrix not symmetric within {SYM_TOL:g} relative")
+        self.mat = mat.copy() if sym is mat else sym  # the operator owns its matrix
+        self.mat.setflags(write=False)
+        self.shape = self.mat.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x; a block of p >= 2 columns with n n p above
+        TRANSPOSED_GEMM_MIN_WORK as (x^T A)^T, A being symmetric."""
+        mat = self.mat
+        _check_height(mat.shape[0], x)
+        if x.ndim == 2 and x.shape[1] > 1 and mat.size * x.shape[1] > TRANSPOSED_GEMM_MIN_WORK:
+            return np.ascontiguousarray((x.T @ mat).T)
+        return mat @ x
+
+    def trace_energy(self, u: np.ndarray, product) -> float:
+        """tr(U^T A U)/2 as the sum of U * (A U), A U being `product()`."""
+        return 0.5 * float((u * product()).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class TraceDensityModel(EnergyModel):
     """E(U) = tr(U^T A U)/2 + h * sum_r [V_r rho_r + (gamma/2) rho_r^2]
     for symmetric A, with the density rho_r = sum_i U_ri^2.
 
-    A is a dense symmetric matrix or a `DirichletLaplacian`.  The trace
-    term is computed from A U for a dense A, and from the differences of U
-    for the Laplacian.  rho is invariant under U -> U P, so E is
-    orthogonally invariant.  Without a potential V the density terms are
+    A is an operator: an object with `shape`, the product `A @ x` and
+    `trace_energy(u, product)`, tr(U^T A U)/2, where `product()` returns
+    the frame record's A U.  `DenseSymmetric` and `DirichletLaplacian` are
+    the two; the constructor keeps one as it is and takes any other `a` as
+    the matrix of a `DenseSymmetric`.  rho is invariant under U -> U P, so
+    E is orthogonally invariant.  Without a potential V the density terms are
     absent: E is the trace term alone, minimized by the p lowest
     eigenvectors of A.  The class is final.
 
@@ -192,7 +232,7 @@ class TraceDensityModel(EnergyModel):
     `hessian_qform`.
     """
 
-    a: Union[np.ndarray, DirichletLaplacian]
+    a: Union[DenseSymmetric, DirichletLaplacian]
     v: Optional[np.ndarray] = None
     h: float = 1.0
     gamma: float = 0.0
@@ -201,20 +241,15 @@ class TraceDensityModel(EnergyModel):
         raise TypeError("TraceDensityModel is final; delegate to it instead of subclassing")
 
     def __post_init__(self):
-        stencil = isinstance(self.a, DirichletLaplacian)
-        mat = self.a if stencil else _float64(np.asarray, self.a, "matrix")
-        if not stencil:
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ShapeMismatch(f"need a square matrix, got {mat.shape}")
-            if not np.isfinite(mat).all():
-                raise ValueError("matrix has non-finite entries")
+        if not isinstance(self.a, (DenseSymmetric, DirichletLaplacian)):
+            object.__setattr__(self, "a", DenseSymmetric(self.a))
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"mesh width h must be finite and positive, got {self.h}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.v is not None:
             vec = _float64(np.array, self.v, "potential")  # a copy: it is frozen below
-            if vec.shape != (mat.shape[0],):
+            if vec.shape != (self.a.shape[0],):
                 raise ShapeMismatch("potential length must match grid size")
             if not np.isfinite(vec).all():
                 raise ValueError("potential has non-finite entries")
@@ -222,14 +257,6 @@ class TraceDensityModel(EnergyModel):
             object.__setattr__(self, "v", vec)
         elif self.gamma != 0.0:
             raise ValueError("gamma needs a potential v")
-        if stencil:
-            return
-        sym = symmetrized(mat)
-        if sym is None:
-            raise ValueError(f"matrix not symmetric within {SYM_TOL:g} relative")
-        mat = mat.copy() if sym is mat else sym  # the model owns its A
-        mat.setflags(write=False)
-        object.__setattr__(self, "a", mat)
 
     @property
     def npts(self) -> int:
@@ -250,14 +277,8 @@ class TraceDensityModel(EnergyModel):
         return self._gradient(u, self._product(u, self._formed(u)))
 
     def apply_operator(self, x):
-        """A x; on a dense A above TRANSPOSED_GEMM_MIN_WORK as (x^T A)^T, A being symmetric."""
-        a = self.a
-        if isinstance(a, DirichletLaplacian):
-            return a @ x
-        _check_height(a.shape[0], x)
-        if x.ndim == 2 and x.shape[1] > 1 and a.size * x.shape[1] > TRANSPOSED_GEMM_MIN_WORK:
-            return np.ascontiguousarray((x.T @ a).T)
-        return a @ x
+        """A x, in the operator's own form."""
+        return self.a @ x
 
     def evaluate(self, u, au=None):
         formed = self._formed(u) if au is None else {"au": au}  # a handed product's, not kept
@@ -301,12 +322,10 @@ class TraceDensityModel(EnergyModel):
 
     def _energy(self, u, formed, rho):
         """E(U) with the density `rho`, formed once for the record `formed` of
-        the frame `u`: from its A U, or on the stencil from the differences."""
+        the frame `u`; the operator's trace energy reads the record's A U if
+        it needs one."""
         if "energy" not in formed:
-            if isinstance(self.a, DirichletLaplacian):
-                energy = self.a.kinetic_energy(u)
-            else:
-                energy = 0.5 * float((u * self._product(u, formed)).sum())
+            energy = self.a.trace_energy(u, lambda: self._product(u, formed))
             if rho is not None:
                 ext = self.h * float(self.v @ rho)
                 inter = 0.5 * self.gamma * self.h * float(rho @ rho)
@@ -432,21 +451,22 @@ def eigen_oracle(model: TraceDensityModel, p: int) -> tuple[float, StiefelPoint]
     smallest eigenvalues of A, and the corresponding eigenvector frame, for
     an integer 1 <= p <= n.
 
-    The model's constructor made its dense A finite and exactly symmetric,
-    so A is eigensolved as the model holds it, with no check and no copy;
-    a failed eigensolve raises ConvergenceFailure.
+    `DenseSymmetric` made its matrix `model.a.mat` finite and exactly
+    symmetric, so it is eigensolved as the operator holds it, with no check
+    and no copy; a failed eigensolve raises ConvergenceFailure.
     """
     if not isinstance(model, TraceDensityModel):
         raise TypeError(f"eigen_oracle needs a TraceDensityModel, got {type(model).__name__}")
     if model.v is not None:
         raise ValueError("eigen_oracle needs a model without a potential v")
-    if not isinstance(model.a, np.ndarray):
+    mat = getattr(model.a, "mat", None)
+    if mat is None:
         raise ValueError("eigen_oracle needs a dense matrix A, not an operator")
-    n = model.a.shape[0]
+    n = mat.shape[0]
     if not (_is_count(p) and p <= n):
         raise ValueError(f"p must be an integer in [1, {n}], got {p!r}")
     try:
-        evals, evecs = np.linalg.eigh(model.a)
+        evals, evecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     with np.errstate(over="raise"):  # an energy beyond float64 raises FloatingPointError

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grassopt import (
     ConvergenceFailure,
+    DenseSymmetric,
     DirichletLaplacian,
     EnergyModel,
     QuadraticTraceModel,
@@ -44,9 +45,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadraticTraceModel(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_quadratic_rejects_rectangular(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["rectangular", "empty"])
+    def test_quadratic_rejects_rectangular(self, shape):
         with pytest.raises(ShapeMismatch):
-            QuadraticTraceModel(np.ones((2, 3)))
+            QuadraticTraceModel(np.ones(shape))
+
+    @pytest.mark.parametrize("named", ["matrix", "potential"])
+    def test_complex_input_rejected(self, strict, named):
+        """A cast to float64 would keep only the real parts: [[1, i], [-i, 1]]
+        has eigenvalues 0 and 2, its real part 1 and 1."""
+        hermitian = np.array([[1, 1j], [-1j, 1]])
+        kwargs = {"a": hermitian} if named == "matrix" else {"a": np.eye(2), "v": hermitian[0]}
+        with pytest.raises(ValueError, match=f"{named} has complex entries"):
+            TraceDensityModel(**kwargs)
+
+    def test_operator_is_kept_not_copied(self):
+        """An operator is held as it is handed in: re-wrapping a model's dense
+        A allocated a second n-by-n copy (1.0 n^2 doubles)."""
+        dense = QuadraticTraceModel(random_symmetric(400, 3)).a
+        for op in (dense, DirichletLaplacian(4, 0.5)):
+            assert TraceDensityModel(a=op).a is op
+        assert traced_peak(lambda: QuadraticTraceModel(dense), 400) < 0.5
 
     def test_lattice_rejects_bad_mesh(self):
         with pytest.raises(ValueError):
@@ -209,27 +228,27 @@ class TestConstruction:
         before = a.copy()
         model = QuadraticTraceModel(a)
         npt.assert_array_equal(a, before)
-        assert a.flags.writeable and not model.a.flags.writeable
-        assert model.a.tobytes() == (0.5 * (before + before.T)).tobytes()
+        assert a.flags.writeable and not model.a.mat.flags.writeable
+        assert model.a.mat.tobytes() == (0.5 * (before + before.T)).tobytes()
 
     def test_symmetric_matrix_is_copied_as_it_is(self):
         a = random_symmetric(6, 3)
         model = QuadraticTraceModel(a)
-        assert model.a is not a and model.a.tobytes() == a.tobytes()
+        assert model.a.mat is not a and model.a.mat.tobytes() == a.tobytes()
         a[0, 0] = 9.0  # the caller's array stays writable and apart
-        assert not model.a.flags.writeable and model.a[0, 0] != 9.0
+        assert not model.a.mat.flags.writeable and model.a.mat[0, 0] != 9.0
 
     def test_huge_symmetric_matrix_kept_finite(self, strict):
         """(A + A^T)/2 overflowed this A to inf, and the oracle read NaN."""
         a = np.array([[1e308, 0.0], [0.0, 1e308]])
         model = QuadraticTraceModel(a)
-        assert model.a.tobytes() == a.tobytes()
+        assert model.a.mat.tobytes() == a.tobytes()
         assert eigen_oracle(model, 1)[0] == 5e307
         assert eigen_oracle(model, 2)[0] == 1e308
 
     def test_huge_nearly_symmetric_matrix_symmetrized_in_range(self, strict):
         model = QuadraticTraceModel(np.array([[1e308, 1.0], [2.0, 1e308]]))
-        npt.assert_array_equal(model.a, [[1e308, 1.5], [1.5, 1e308]])
+        npt.assert_array_equal(model.a.mat, [[1e308, 1.5], [1.5, 1e308]])
 
     def test_overflowing_asymmetry_rejected(self, strict):
         """Both Frobenius norms of this A overflow to inf unscaled, which once
@@ -323,7 +342,7 @@ def longdouble_kernels(model, u, d):
             return out / ld(model.a.h) ** 2
 
     else:
-        a = model.a.astype(ld)
+        a = model.a.mat.astype(ld)
         apply = lambda x: a @ x
     rho = (u * u).sum(axis=1)
     sigma = (u * d).sum(axis=1)
@@ -491,13 +510,13 @@ class TestDenseProduct:
         model, x = self.block(n, p)
         ax = model.apply_operator(x)
         assert ax.flags.c_contiguous
-        assert ax.tobytes() == (model.a @ x).tobytes()
+        assert ax.tobytes() == (model.a.mat @ x).tobytes()
 
     @pytest.mark.parametrize("n, p", ABOVE)
     def test_above_cutoff_agrees_to_roundoff(self, n, p):
         assert n * n * p > objectives.TRANSPOSED_GEMM_MIN_WORK
         model, x = self.block(n, p)
-        ax, want = model.apply_operator(x), model.a @ x
+        ax, want = model.apply_operator(x), model.a.mat @ x
         assert ax.shape == want.shape and ax.flags.c_contiguous
         assert np.linalg.norm(ax - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -547,30 +566,32 @@ class TestDenseProduct:
             assert len(calls) == expected
         calls.clear()
         model.value(np.array(u))  # the stencil's energy forms no product
-        assert len(calls) == (1 if isinstance(model.a, np.ndarray) else 0)
+        assert len(calls) == (1 if isinstance(model.a, DenseSymmetric) else 0)
 
 
 class TestWrongHeight:
     """A frame of the wrong height fails with the same ShapeMismatch on the
     dense matrix and on the stencil."""
 
-    MESSAGE = r"operator of size 5 applied to shape \(4, 2\)"
+    MESSAGE = r"operator of size 5 applied to shape \({}\)"
     MODELS = [lambda: QuadraticTraceModel(random_symmetric(5, 1)), lambda: harmonic_lattice(5)]
 
     @pytest.mark.parametrize("make", MODELS, ids=["dense", "stencil"])
     @pytest.mark.parametrize(
-        "call",
+        "call, shape",
         [
-            lambda m, u: m.value(u),
-            lambda m, u: m.euclidean_gradient(u),
-            lambda m, u: m.evaluate(u),
-            lambda m, u: m.hessian_apply(u, u),
-            lambda m, u: m.hessian_qform(u, u),
+            (lambda m, u: m.value(u), "4, 2"),
+            (lambda m, u: m.euclidean_gradient(u), "4, 2"),
+            (lambda m, u: m.evaluate(u), "4, 2"),
+            (lambda m, u: m.hessian_apply(u, u), "4, 2"),
+            (lambda m, u: m.hessian_qform(u, u), "4, 2"),
+            (lambda m, u: m.apply_operator(u[0, 0]), ""),
         ],
-        ids=["value", "euclidean_gradient", "evaluate", "hessian_apply", "hessian_qform"],
+        ids=["value", "euclidean_gradient", "evaluate", "hessian_apply", "hessian_qform",
+             "apply_operator-0d"],
     )
-    def test_model_calls(self, make, call):
-        with pytest.raises(ShapeMismatch, match=self.MESSAGE):
+    def test_model_calls(self, make, call, shape):
+        with pytest.raises(ShapeMismatch, match=self.MESSAGE.format(shape)):
             call(make(), random_stiefel(4, 2, 0).u)
 
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
@@ -798,7 +819,7 @@ class TestStencilOperator:
 
     def test_kinetic_energy_of_one_point(self):
         lap = DirichletLaplacian(1, 0.5)
-        assert lap.kinetic_energy(np.array([[3.0, 4.0]])) == 0.5 * 4.0 * 2.0 * 25.0
+        assert lap.trace_energy(np.array([[3.0, 4.0]])) == 0.5 * 4.0 * 2.0 * 25.0
 
     def test_eigen_oracle_needs_a_dense_matrix(self):
         with pytest.raises(ValueError, match="dense matrix"):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassopt import (
+    DenseSymmetric,
     DirichletLaplacian,
     EnergyModel,
     QuadraticTraceModel,
@@ -550,15 +551,6 @@ class TestCarriedProduct:
         assert model.seen and all(au is None for _, au in model.seen)
 
 
-class CountedMatrix(np.ndarray):
-    """A dense matrix, viewed as this type, that logs the operand of each
-    product A X in `operands`."""
-
-    def __matmul__(self, x):
-        self.operands.append(x)
-        return np.asarray(self) @ x
-
-
 class TestBacktrackingProduct:
     """Backtracking hands the model no product: the model forms each
     frame's A U at most once, and the accepted trial's serves the next
@@ -575,36 +567,33 @@ class TestBacktrackingProduct:
         assert all(au is None for _, au in logged.seen)
         return result, logged
 
-    def test_stencil_is_applied_once_per_iterate(self, monkeypatch):
-        """Trials are scored from the differences; only an iterate's gradient
-        applies the stencil, once, to its frame: 1 + k products for k steps,
-        whatever the shrinks."""
+    @pytest.mark.parametrize("operator", [DirichletLaplacian, DenseSymmetric], ids=["stencil", "dense"])
+    def test_products_per_solve(self, monkeypatch, operator):
+        """On the stencil trials are scored from the differences, and only
+        an iterate's gradient applies it, once, to its frame: 1 + k products
+        for k steps, whatever the shrinks.  On a dense A each trial's energy
+        forms its product, and the accepted trial's is not formed again for
+        the next iterate: 1 + k + b products for k steps and b shrinks."""
         applied = []
-        matmul = DirichletLaplacian.__matmul__
+        matmul = operator.__matmul__
 
         def logged_matmul(self, x):
             applied.append(x)
             return matmul(self, x)
 
-        monkeypatch.setattr(DirichletLaplacian, "__matmul__", logged_matmul)
-        lattice = harmonic_lattice(48, gamma=1.0)
-        result, logged = self.solve_logged(lattice, random_stiefel(48, 3, 23))
-        assert len(applied) == 1 + result.iters == len(logged.seen)
-        assert all(x is u for x, (u, _) in zip(applied, logged.seen))
-
-    def test_dense_product_formed_once_per_trial(self):
-        """On a dense A each trial's energy forms its product, and the
-        accepted trial's is not formed again for the next iterate: 1 + k + b
-        products for k steps and b shrinks."""
-        model = QuadraticTraceModel(random_symmetric(60, seed=4))
-        counted = model.a.view(CountedMatrix)
-        counted.operands = []
-        object.__setattr__(model, "a", counted)
-        result, logged = self.solve_logged(model, random_stiefel(60, 3, 22))
-        trials = sum(rec.backtracks + 1 for rec in result.trace)
-        assert len(counted.operands) == 1 + trials
-        frames = [logged.seen[0][0]] + logged.valued
-        assert all(x is u for x, u in zip(counted.operands, frames))
+        monkeypatch.setattr(operator, "__matmul__", logged_matmul)
+        if operator is DirichletLaplacian:
+            lattice = harmonic_lattice(48, gamma=1.0)
+            result, logged = self.solve_logged(lattice, random_stiefel(48, 3, 23))
+            assert len(applied) == 1 + result.iters == len(logged.seen)
+            assert all(x is u for x, (u, _) in zip(applied, logged.seen))
+        else:
+            model = QuadraticTraceModel(random_symmetric(60, seed=4))
+            result, logged = self.solve_logged(model, random_stiefel(60, 3, 22))
+            trials = sum(rec.backtracks + 1 for rec in result.trace)
+            assert len(applied) == 1 + trials
+            frames = [logged.seen[0][0]] + logged.valued
+            assert all(x is u for x, u in zip(applied, frames))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -650,12 +639,12 @@ class TestFormedOnce:
         counts = {"energy": 0, "density": 0}
         frames, densities = {}, {}  # by id; the values keep the ids unique
         kinetic, density, einsum = (
-            DirichletLaplacian.kinetic_energy, TraceDensityModel.density, np.einsum
+            DirichletLaplacian.trace_energy, TraceDensityModel.density, np.einsum
         )
 
-        def counted_kinetic(self, u):
+        def counted_kinetic(self, u, product=None):
             counts["energy"] += 1
-            return kinetic(self, u)
+            return kinetic(self, u, product)
 
         def counted_density(self, u):
             rho = density(self, u)
@@ -670,7 +659,7 @@ class TestFormedOnce:
                 counts["density"] += 1
             return einsum(spec, *operands, **kw)
 
-        monkeypatch.setattr(DirichletLaplacian, "kinetic_energy", counted_kinetic)
+        monkeypatch.setattr(DirichletLaplacian, "trace_energy", counted_kinetic)
         monkeypatch.setattr(TraceDensityModel, "density", counted_density)
         monkeypatch.setattr(np, "einsum", counted_einsum)
         return counts
@@ -733,7 +722,7 @@ class TestOperatorApplications:
             epsilon=1e-14, max_iter=self.CAP, strategy=strategy, retraction=retraction
         )
         result = solve(model, random_stiefel(model.npts, 3, 0), config)
-        dense = isinstance(model.a, np.ndarray)
+        dense = isinstance(model.a, DenseSymmetric)
         assert result.iters > CARRY_REFRESH
         assert len(applied) == self.expected(strategy, retraction, dense, result)
 
