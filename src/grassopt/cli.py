@@ -3,7 +3,8 @@ problem instance, or run the property-check suites.
 
 Exit codes: 0 success, 1 usage/config error or numerical failure (`failed`
 status), 2 iteration cap reached.  `compare` exits with the code of its worst
-solve: 1 if any failed, else 2 if any reached the cap.
+solve: 1 if any failed, else 2 if any reached the cap.  `check` prints one
+[PASS] or [FAIL] line per check and exits 1 if any check fails.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from collections import Counter
 from dataclasses import astuple, fields
 from pathlib import Path
 
-import numpy as np
-
 from .checks import SUITES, run_suite
-from .linalg import thin_qr
-from .manifold import StiefelPoint
+from .manifold import StiefelPoint, random_frame
 from .objectives import (
     EnergyModel,
     QuadraticTraceModel,
@@ -170,10 +168,7 @@ def build_model(args) -> EnergyModel:
 
 
 def build_start(args, model: EnergyModel) -> StiefelPoint:
-    n = model.npts
-    rng = np.random.default_rng(args.seed)
-    q, _ = thin_qr(rng.standard_normal((n, args.p)))
-    return StiefelPoint(q)
+    return random_frame(model.npts, args.p, args.seed)
 
 
 def build_solver_config(args, strategy: str, bb_mode: str) -> SolveConfig:

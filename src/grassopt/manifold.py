@@ -68,6 +68,14 @@ class StiefelPoint:
         return self.u.shape
 
 
+def random_frame(n: int, p: int, seed) -> StiefelPoint:
+    """The Q factor of a Gaussian n-by-p matrix.  `seed` is an int, or a numpy
+    Generator that the matrix is drawn from in turn: default_rng returns a
+    Generator as it is."""
+    q, _ = thin_qr(np.random.default_rng(seed).standard_normal((n, p)))
+    return StiefelPoint(q)
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """A direction D with base^T D = 0, attached to its base point."""

@@ -85,7 +85,10 @@ def _float64(convert, x, name: str) -> np.ndarray:
     """convert(x, dtype=float), raising ValueError on complex entries, whose
     imaginary parts the cast would drop, and on an entry beyond the float64
     range rather than casting it to inf.  Only a cast can overflow, so a
-    float64 array is checked by no pass of its own."""
+    float64 array is checked by no pass of its own.  An object array's
+    entries are typed again as a list's would be, so a complex one is seen."""
+    if getattr(x, "dtype", None) == object:
+        x = x.tolist()
     if np.iscomplexobj(x):
         raise ValueError(f"{name} has complex entries")
     try:

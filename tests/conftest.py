@@ -4,13 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grassopt import EnergyModel, StiefelPoint, project_tangent, thin_qr
-
-
-def random_stiefel(n, p, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = thin_qr(rng.standard_normal((n, p)))
-    return StiefelPoint(q)
+from grassopt import EnergyModel, project_tangent
 
 
 def random_tangent(u, seed):

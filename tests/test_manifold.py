@@ -24,11 +24,11 @@ from grassopt.manifold import (
     ORTHO_TOL,
     frobenius_norm,
     ortho_defect,
+    random_frame,
     retract_qr_factors,
 )
-from grassopt.checks import run_suite
 
-from conftest import random_stiefel, random_tangent
+from conftest import random_tangent
 
 E1 = StiefelPoint(np.array([[1.0], [0.0]]))
 U1 = E1.u
@@ -52,7 +52,7 @@ class TestTypes:
             TangentVector(np.array([[0.0], [np.nan]]), E1)
 
     def test_immutable_storage(self):
-        point = random_stiefel(5, 2, 0)
+        point = random_frame(5, 2, 0)
         with pytest.raises(ValueError):
             point.u[0, 0] = 99.0
 
@@ -88,17 +88,17 @@ class TestProjectTangent:
     @given(n=st.integers(1, 30), p=st.integers(1, 5), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_supplied_ug_is_bit_identical(self, n, p, seed):
-        u = random_stiefel(n, min(n, p), seed).u
+        u = random_frame(n, min(n, p), seed).u
         g = np.random.default_rng(seed + 1).standard_normal(u.shape)
         npt.assert_array_equal(project_tangent(u, g, u.T @ g), project_tangent(u, g))
 
     def test_already_tangent_is_fixed_point(self):
-        u = random_stiefel(8, 3, 1).u
+        u = random_frame(8, 3, 1).u
         d = random_tangent(u, 2)
         npt.assert_allclose(project_tangent(u, d), d, atol=1e-14)
 
     def test_point_itself_projects_to_zero(self):
-        u = random_stiefel(8, 3, 3).u
+        u = random_frame(8, 3, 3).u
         npt.assert_allclose(project_tangent(u, u), 0.0, atol=1e-14)
 
     def test_explicit_small_case(self):
@@ -112,7 +112,7 @@ class TestProjectTangent:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_idempotent(self, seed):
-        u = random_stiefel(10, 3, seed).u
+        u = random_frame(10, 3, seed).u
         g = np.random.default_rng(seed + 1).standard_normal((10, 3))
         once = project_tangent(u, g)
         twice = project_tangent(u, once)
@@ -126,7 +126,7 @@ class TestProjectTangent:
             epsilon=1e-8, max_iter=5000, strategy="adaptive",
             direction="cg_restart", retraction="geodesic",
         )
-        result = solve(harmonic_lattice(128, gamma=1.0), random_stiefel(128, 4, 0), config)
+        result = solve(harmonic_lattice(128, gamma=1.0), random_frame(128, 4, 0), config)
         assert result.status is Status.CONVERGED
         assert ortho_defect(result.final_point.u) <= 1e-12
 
@@ -134,7 +134,7 @@ class TestProjectTangent:
 class TestRetractions:
     @pytest.mark.parametrize("retract", [retract_qr, retract_geodesic])
     def test_zero_step_exact(self, retract):
-        u = random_stiefel(12, 4, 4).u
+        u = random_frame(12, 4, 4).u
         d = random_tangent(u, 5)
         assert retract(u, d, 0.0) is u
 
@@ -143,7 +143,7 @@ class TestRetractions:
         npt.assert_allclose(new, np.array([[1.0], [1.0]]) / np.sqrt(2))
 
     def test_qr_first_order_defect(self):
-        u = random_stiefel(20, 4, 6).u
+        u = random_frame(20, 4, 6).u
         d = random_tangent(u, 7)
         t = 1e-4
         diff = retract_qr(u, d, t) - (u + t * d)
@@ -173,7 +173,7 @@ class TestRetractions:
             npt.assert_allclose(retract_geodesic(u, d, t), expect, rtol=0, atol=1e-14)
 
     def test_geodesic_zero_direction(self):
-        u = random_stiefel(9, 2, 8).u
+        u = random_frame(9, 2, 8).u
         for t in (0.5, 3.0):
             npt.assert_allclose(retract_geodesic(u, np.zeros(u.shape), t), u, atol=1e-14)
 
@@ -187,7 +187,7 @@ class TestRetractions:
             epsilon=1e-8, strategy="backtracking", direction=direction, retraction="geodesic"
         )
         for frame in range(4):
-            result = solve(model, random_stiefel(128, 4, frame), config)
+            result = solve(model, random_frame(128, 4, frame), config)
             assert result.status is Status.CONVERGED, (frame, result.diagnostic)
             assert ortho_defect(result.final_point.u) <= 1e-14
 
@@ -200,7 +200,7 @@ class TestCarriedRetraction:
     @pytest.mark.parametrize("step", [0.2, CHOLESKY_QR_MAX_STEP, 1.5, 5.0])
     @pytest.mark.parametrize("shape", [(20, 4), (200, 10)])
     def test_same_frame_as_householder_and_inverse_factor(self, shape, step):
-        u = random_stiefel(*shape, 9).u
+        u = random_frame(*shape, 9).u
         d = random_tangent(u, 10)
         t = step / np.linalg.norm(d)
         new, r_inv = retract_qr_factors(u, d, t)
@@ -214,7 +214,7 @@ class TestCarriedRetraction:
         assert not new.flags.writeable
 
     def test_zero_step_exact(self):
-        u = random_stiefel(12, 4, 4).u
+        u = random_frame(12, 4, 4).u
         new, r_inv = retract_qr_factors(u, random_tangent(u, 5), 0.0)
         assert new is u
         npt.assert_array_equal(r_inv, np.eye(4))
@@ -222,7 +222,7 @@ class TestCarriedRetraction:
     def test_long_negative_step_falls_back_to_householder(self):
         # rank one: G = I + t^2 D^T D has condition 1 + t^2 ||D||_F^2, which
         # Cholesky QR would not survive at |t| ||D||_F = 1e5
-        u = random_stiefel(30, 4, 0).u
+        u = random_frame(30, 4, 0).u
         rng = np.random.default_rng(0)
         d = project_tangent(u, np.outer(rng.standard_normal(30), rng.standard_normal(4)))
         new = retract_qr(u, d, -1e5 / np.linalg.norm(d))
@@ -245,7 +245,7 @@ class TestNonFiniteStep:
     """A step t D too large for a float is named by the retraction it is
     handed to, before any factorization, and warns of nothing."""
 
-    u = random_stiefel(20, 2, 0).u
+    u = random_frame(20, 2, 0).u
     d = random_tangent(u, 1)
     d = 10.0 * d / np.linalg.norm(d)  # sigma_max(D) >= ||D||_F / sqrt(2) > 1.8
 
@@ -268,9 +268,3 @@ class TestNonFiniteStep:
         u[0, 0] = np.nan
         with pytest.raises(ConvergenceFailure, match="non-finite input to the Cholesky QR"):
             retract_qr_factors(u, self.d, 1e-3)
-
-
-def test_geometry_suite_passes():
-    results = run_suite("geometry")
-    failing = [r for r in results if not r.passed]
-    assert not failing, failing

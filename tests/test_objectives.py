@@ -27,9 +27,9 @@ from grassopt import (
     solve,
 )
 from grassopt import objectives
-from grassopt.checks import run_suite
+from grassopt.manifold import random_frame
 
-from conftest import random_stiefel, random_tangent, traced_peak
+from conftest import random_tangent, traced_peak
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 E1 = StiefelPoint(np.array([[1.0], [0.0], [0.0]]))
@@ -50,11 +50,16 @@ class TestConstruction:
         with pytest.raises(ShapeMismatch):
             QuadraticTraceModel(np.ones(shape))
 
-    @pytest.mark.parametrize("named", ["matrix", "potential"])
-    def test_complex_input_rejected(self, strict, named):
+    @pytest.mark.parametrize(
+        "named, dtype",
+        [("matrix", complex), ("potential", complex), ("matrix", object), ("potential", object)],
+        ids=["matrix", "potential", "matrix-object", "potential-object"],
+    )
+    def test_complex_input_rejected(self, strict, named, dtype):
         """A cast to float64 would keep only the real parts: [[1, i], [-i, 1]]
-        has eigenvalues 0 and 2, its real part 1 and 1."""
-        hermitian = np.array([[1, 1j], [-1j, 1]])
+        has eigenvalues 0 and 2, its real part 1 and 1.  In an object array
+        the cast raised TypeError instead."""
+        hermitian = np.array([[1, 1j], [-1j, 1]], dtype=dtype)
         kwargs = {"a": hermitian} if named == "matrix" else {"a": np.eye(2), "v": hermitian[0]}
         with pytest.raises(ValueError, match=f"{named} has complex entries"):
             TraceDensityModel(**kwargs)
@@ -274,7 +279,7 @@ class TestValuesAndGradients:
             a=model.a, v=np.zeros(model.npts), h=model.h, gamma=0.0
         )
         quad = QuadraticTraceModel(model.a)
-        u = random_stiefel(model.npts, 3, 0).u
+        u = random_frame(model.npts, 3, 0).u
         assert bare.value(u) == pytest.approx(quad.value(u), rel=1e-14)
         npt.assert_allclose(bare.euclidean_gradient(u), quad.euclidean_gradient(u))
         d = random_tangent(u, 1)
@@ -316,7 +321,7 @@ class TestValuesAndGradients:
 
     def test_hessian_symmetry(self):
         model = small_lattice()
-        point = random_stiefel(model.npts, 3, 5)
+        point = random_frame(model.npts, 3, 5)
         d1 = random_tangent(point.u, 6)
         d2 = random_tangent(point.u, 7)
         lhs = float(np.sum(model.hessian_apply(point.u, d1) * d2))
@@ -368,7 +373,7 @@ class TestDensityKernels:
             model = TraceDensityModel(random_symmetric(40, 3), v=v, h=0.1, gamma=gamma)
         else:
             model = harmonic_lattice(npts, gamma=gamma)
-        u = random_stiefel(model.npts, min(p, model.npts), 1).u
+        u = random_frame(model.npts, min(p, model.npts), 1).u
         d = random_tangent(u, 2)
         got = (model.density(u), model.euclidean_gradient(u), model.hessian_apply(u, d),
                model.hessian_qform(u, d))
@@ -385,7 +390,7 @@ class TestEvaluate:
     def test_matches_value_and_gradient(self, make):
         model = make()
         for seed in range(5):
-            u = random_stiefel(model.a.shape[0], 2, seed).u
+            u = random_frame(model.a.shape[0], 2, seed).u
             energy, egrad = model.evaluate(u)
             assert energy == model.value(u)
             npt.assert_array_equal(egrad, model.euclidean_gradient(u))
@@ -399,7 +404,7 @@ class TestSuppliedProducts:
     def test_bit_identical_with_supplied_products(self, make):
         model = make()
         for seed in range(5):
-            point = random_stiefel(model.a.shape[0], 2, seed)
+            point = random_frame(model.a.shape[0], 2, seed)
             u, d = point.u, random_tangent(point.u, seed + 10)
             au = model.apply_operator(u)
             npt.assert_array_equal(au, model.a @ u)
@@ -529,7 +534,7 @@ class TestDenseProduct:
         v = rng.standard_normal(n) if potential else None
         gamma = 1.0 if potential else 0.0
         model = TraceDensityModel(random_symmetric(n, 3), v=v, h=0.5, gamma=gamma)
-        u = random_stiefel(n, p, 4).u
+        u = random_frame(n, p, 4).u
         d = random_tangent(u, 5)
         au = model.apply_operator(u)
         energy, egrad = model.evaluate(u)
@@ -551,7 +556,7 @@ class TestDenseProduct:
             return apply_operator(self, x)
 
         monkeypatch.setattr(TraceDensityModel, "apply_operator", counted)
-        u = random_stiefel(model.npts, 2, 6).u
+        u = random_frame(model.npts, 2, 6).u
         d = random_tangent(u, 7)
         ad = model.a @ d
         for call, expected in [
@@ -592,12 +597,12 @@ class TestWrongHeight:
     )
     def test_model_calls(self, make, call, shape):
         with pytest.raises(ShapeMismatch, match=self.MESSAGE.format(shape)):
-            call(make(), random_stiefel(4, 2, 0).u)
+            call(make(), random_frame(4, 2, 0).u)
 
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
     @pytest.mark.parametrize("make", MODELS, ids=["dense", "stencil"])
     def test_solve_fails_at_iteration_0(self, make, strategy):
-        result = solve(make(), random_stiefel(4, 2, 0), SolveConfig(strategy=strategy))
+        result = solve(make(), random_frame(4, 2, 0), SolveConfig(strategy=strategy))
         assert (result.status.value, result.iters) == ("failed", 0)
         assert result.diagnostic == "iteration 0: operator of size 5 applied to shape (4, 2)"
 
@@ -693,7 +698,7 @@ class TestFrameCache:
     @pytest.mark.parametrize("make", [lambda: DIAG123, small_lattice], ids=["quadratic", "lattice"])
     def test_density_is_read_only(self, make, read_only):
         model = make()
-        u = random_stiefel(model.npts, 2, 3).u
+        u = random_frame(model.npts, 2, 3).u
         rho = model.density(u if read_only else np.array(u))
         assert not rho.flags.writeable
         assert (model.density(u) is rho) == read_only
@@ -705,7 +710,7 @@ class TestFrameCache:
         the judge read it; for a writable frame each call forms it anew and
         nothing is kept."""
         model = small_lattice()
-        point = random_stiefel(model.npts, 2, 3)
+        point = random_frame(model.npts, 2, 3)
         u = point.u if read_only else np.array(point.u)
         d = random_tangent(point.u, 4)
         w = model._weight(u)
@@ -722,7 +727,7 @@ class TestFrameCache:
         """On a dense A, one frame evaluated with one A U object and then with
         another gets the second product's energy, as a fresh model does."""
         model = QuadraticTraceModel(random_symmetric(12, seed=4))
-        u = random_stiefel(12, 3, 5).u
+        u = random_frame(12, 3, 5).u
         au = model.apply_operator(u)
         other = (1.0 + 1e-3) * au
         first, second = model.evaluate(u, au)[0], model.evaluate(u, other)[0]
@@ -748,7 +753,7 @@ class TestFrameCache:
         frame form A U once: without a potential the gradient is that
         product, and every later call hands back the same object."""
         model = QuadraticTraceModel(random_symmetric(12, seed=4))
-        point = random_stiefel(12, 3, 5)
+        point = random_frame(12, 3, 5)
         grad = model.euclidean_gradient(point.u)
         grassmann_gradient(model, point)
         model.value(point.u)
@@ -759,7 +764,7 @@ class TestFrameCache:
         """Threads that evaluate their own frames on one model get their own
         frames' answers: the slot is replaced whole and read by identity."""
         model = small_lattice()
-        frames = [random_stiefel(model.npts, 2, seed).u for seed in range(6)]
+        frames = [random_frame(model.npts, 2, seed).u for seed in range(6)]
 
         def calls(u):
             return [lambda m: m.value(u), lambda m: m.evaluate(u), lambda m: m.density(u)]
@@ -831,14 +836,14 @@ class TestOrthogonalInvariance:
     def test_value_invariant(self, make):
         model = make()
         n = model.a.shape[0]
-        point = random_stiefel(n, 2, 31)
+        point = random_frame(n, 2, 31)
         rot, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((2, 2)))
         e0 = model.value(point.u)
         assert abs(model.value(point.u @ rot) - e0) <= 1e-10 * (1.0 + abs(e0))
 
     def test_gradient_equivariant(self):
         model = small_lattice()
-        point = random_stiefel(model.npts, 3, 33)
+        point = random_frame(model.npts, 3, 33)
         rot, _ = np.linalg.qr(np.random.default_rng(34).standard_normal((3, 3)))
         rotated = StiefelPoint(point.u @ rot)
         g = grassmann_gradient(model, point).d
@@ -863,12 +868,12 @@ class TestGrassmannCalculus:
     def test_gradient_tangency(self):
         model = small_lattice()
         for seed in range(10):
-            point = random_stiefel(model.npts, 3, seed)
+            point = random_frame(model.npts, 3, seed)
             grad = grassmann_gradient(model, point)
             assert np.linalg.norm(point.u.T @ grad.d) <= 1e-10
 
     def test_qform_zero_direction(self):
-        u = random_stiefel(10, 2, 40).u
+        u = random_frame(10, 2, 40).u
         model = QuadraticTraceModel(random_symmetric(10, 1))
         assert grassmann_hessian_qform(model, u, np.zeros(u.shape)) == 0.0
 
@@ -878,7 +883,7 @@ class TestGrassmannCalculus:
 
     def test_qform_quadratic_scaling(self):
         model = small_lattice()
-        u = random_stiefel(model.npts, 2, 41).u
+        u = random_frame(model.npts, 2, 41).u
         d = random_tangent(u, 42)
         base = grassmann_hessian_qform(model, u, d)
         assert grassmann_hessian_qform(model, u, 3.0 * d) == pytest.approx(
@@ -887,7 +892,7 @@ class TestGrassmannCalculus:
 
     def test_qform_matches_geodesic_second_difference(self):
         model = small_lattice()
-        u = random_stiefel(model.npts, 3, 43).u
+        u = random_frame(model.npts, 3, 43).u
         d = random_tangent(u, 44)
         qform = grassmann_hessian_qform(model, u, d)
         eps = 1e-4
@@ -898,7 +903,7 @@ class TestGrassmannCalculus:
 
     def test_taylor_third_order(self):
         model = small_lattice()
-        point = random_stiefel(model.npts, 2, 45)
+        point = random_frame(model.npts, 2, 45)
         d = random_tangent(point.u, 46)
         e0 = model.value(point.u)
         g = float(np.sum(grassmann_gradient(model, point).d * d))
@@ -981,7 +986,7 @@ class TestEigenOracle:
         assert model.value(minimizer.u) == pytest.approx(energy, rel=1e-12)
         assert grassmann_gradient(model, minimizer).norm <= 1e-10
         # any other frame has energy >= the oracle value
-        other = random_stiefel(30, 4, 50)
+        other = random_frame(30, 4, 50)
         assert model.value(other.u) >= energy - 1e-12
 
     def test_diagonal(self):
@@ -1125,9 +1130,3 @@ class TestMatrixIO:
         path.write_text("")
         with pytest.raises(ValueError):
             load_matrix(path)
-
-
-def test_objective_suite_passes():
-    results = run_suite("objectives")
-    failing = [r for r in results if not r.passed]
-    assert not failing, failing

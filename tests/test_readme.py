@@ -1,9 +1,11 @@
 """The README's extension example and shell recipes, run as written."""
 
 import csv
+import importlib.util
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
@@ -16,10 +18,10 @@ from grassopt import (
     random_symmetric,
     solve,
 )
-from grassopt.cli import main
+from grassopt.cli import build_model, build_parser, build_start, main
+from grassopt.manifold import random_frame
 from grassopt.search import DIRECTIONS, RETRACTIONS, STRATEGIES
 
-from conftest import random_stiefel
 from test_cli import COMPARE_HEADER, TRACE_HEADER
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -74,6 +76,21 @@ def test_recipe_runs_as_written(tmp_path, monkeypatch, line, words):
         assert not flagged, f"{path.name}: energy_mismatch"
 
 
+def test_stiff_recipe_starts_from_the_benchmark_frame(monkeypatch):
+    """The README runs its stiff compare recipe from the start frame of the
+    benchmark's lattice-stiff workload; the CLI builds that frame bit for bit."""
+    [words] = [w for _, w in COMMANDS if w and "1024" in w]
+    args = build_parser().parse_args(words[1:])
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", README.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    frame = build_start(args, build_model(args)).u
+    assert frame.tobytes() == workloads.start_frame(1024, 8, 0).u.tobytes()
+
+
 def readme_shifted():
     """The `Shifted` wrapper of the README's one python block."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
@@ -113,6 +130,6 @@ def test_wrapper_reaches_shifted_minimum(kind, strategy, retraction, direction):
         epsilon=1e-8, max_iter=5000, strategy=strategy, retraction=retraction,
         direction=direction,
     )
-    result = solve(wrapper(kind)(model, shift), random_stiefel(30, 3, 6), config)
+    result = solve(wrapper(kind)(model, shift), random_frame(30, 3, 6), config)
     assert result.status is Status.CONVERGED
     assert abs(result.final_energy - target) <= 1e-10 * abs(target)

@@ -28,10 +28,10 @@ from grassopt import (
 )
 from grassopt import search, stepsize
 from grassopt.linalg import LinalgError, RankDeficient
-from grassopt.manifold import frobenius_norm, ortho_defect
+from grassopt.manifold import frobenius_norm, ortho_defect, random_frame
 from grassopt.search import CARRY_DRIFT_BOUND, CARRY_REFRESH, RETRACTIONS
 
-from conftest import Delegate, random_stiefel, random_tangent
+from conftest import Delegate, random_tangent
 
 DIAG123 = QuadraticTraceModel(np.diag([1.0, 2.0, 3.0]))
 MIX13 = StiefelPoint(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2))
@@ -123,7 +123,7 @@ CG_KEPT = ("continue", "pr_plus", "zero_old")  # the paths that keep the CG dire
 
 class TestDirections:
     def test_steepest_is_negated_gradient(self):
-        u = random_stiefel(8, 2, 2).u
+        u = random_frame(8, 2, 2).u
         g = random_tangent(u, 3)
         norm = frobenius_norm(g)
         y, d_old = g - random_tangent(u, 4), random_tangent(u, 5)
@@ -136,7 +136,7 @@ class TestDirections:
         assert not was_reset
 
     def test_unknown_kind_rejected(self):
-        u = random_stiefel(8, 2, 2).u
+        u = random_frame(8, 2, 2).u
         g = random_tangent(u, 3)
         with pytest.raises(ValueError, match="bfgs"):
             search_direction("bfgs", g, None, None, u, 0, 50, 1.0, np.nan)
@@ -154,7 +154,7 @@ class TestDirections:
     def test_cg_matches_reference(self, path, n, p, seed, iter_index, period, scale):
         """search_direction's cg_restart, handed y = G - G_old, is bit for
         bit the reference on every path, and its slope is <G, D>."""
-        u = random_stiefel(n, p, seed).u
+        u = random_frame(n, p, seed).u
         rng = np.random.default_rng(seed + 1)
         g = scale * random_tangent(u, seed + 2)
         g_old = scale * rng.standard_normal(u.shape)  # not tangent at u
@@ -192,7 +192,7 @@ class TestDirections:
         assert was_reset == (path not in CG_KEPT)
 
     def test_cg_forced_restart(self):
-        u = random_stiefel(8, 2, 2).u
+        u = random_frame(8, 2, 2).u
         g = random_tangent(u, 3)
         d, d_norm, slope, was_reset = cg_at(u, g, 50)
         assert was_reset
@@ -200,7 +200,7 @@ class TestDirections:
         assert d_norm == np.linalg.norm(g)
 
     def test_cg_repeated_gradient_gives_steepest(self):
-        u = random_stiefel(8, 2, 4).u
+        u = random_frame(8, 2, 4).u
         g = random_tangent(u, 5)
         d, d_norm, slope, was_reset = cg_at(u, g, 3)
         # beta = 0 for identical gradients (PR+), so D = -G
@@ -208,7 +208,7 @@ class TestDirections:
         assert d_norm == np.linalg.norm(d)
 
     def test_cg_non_finite_direction_resets(self):
-        u = random_stiefel(8, 2, 6).u
+        u = random_frame(8, 2, 6).u
         g = random_tangent(u, 7)
         norm = float(np.linalg.norm(g))
         d_old = np.full(u.shape, np.nan)
@@ -221,7 +221,7 @@ class TestDirections:
     def test_cg_beta_needs_no_transported_gradient(self):
         """g_new is tangent at u_new, so <g_new, P g_old> = <g_new, g_old>:
         the direction matches one built from the projected g_old."""
-        u = random_stiefel(30, 4, 11).u
+        u = random_frame(30, 4, 11).u
         rng = np.random.default_rng(12)
         g_new = random_tangent(u, 13)
         g_old = 0.3 * rng.standard_normal(u.shape)  # not tangent at u
@@ -256,7 +256,7 @@ class TestDirections:
         config = SolveConfig(
             epsilon=1e-14, max_iter=30, direction="cg_restart", retraction="geodesic"
         )
-        result = solve(harmonic_lattice(40, gamma=1.0), random_stiefel(40, 3, 4), config)
+        result = solve(harmonic_lattice(40, gamma=1.0), random_frame(40, 3, 4), config)
         assert result.iters == 30
         assert [who for who, _ in seen] == ["direction", "bb"] * 30
         ys = [y for _, y in seen]
@@ -266,7 +266,7 @@ class TestDirections:
 
     def test_cg_descent_across_solve(self):
         model = QuadraticTraceModel(random_symmetric(20, seed=9))
-        u0 = random_stiefel(20, 3, 10)
+        u0 = random_frame(20, 3, 10)
         config = SolveConfig(
             epsilon=1e-8, max_iter=5000, direction="cg_restart", strategy="backtracking"
         )
@@ -330,7 +330,7 @@ class TestSolveBasics:
 class TestTrajectoryInvariants:
     def make_result(self, strategy, retraction="qr"):
         model = QuadraticTraceModel(random_symmetric(30, seed=13))
-        u0 = random_stiefel(30, 3, 14)
+        u0 = random_frame(30, 3, 14)
         config = SolveConfig(
             epsilon=1e-8, max_iter=5000, strategy=strategy, retraction=retraction
         )
@@ -421,7 +421,7 @@ class TestEvaluationProtocol:
 
     def run(self, strategy, make_model):
         model = CallLog(make_model())
-        u0 = random_stiefel(model.model.a.shape[0], 3, 14)
+        u0 = random_frame(model.model.a.shape[0], 3, 14)
         config = SolveConfig(epsilon=1e-14, max_iter=self.steps, strategy=strategy)
         result = solve(model, u0, config)
         assert result.status is Status.MAX_ITERATIONS
@@ -487,8 +487,8 @@ class TestCarriedProduct:
     wrappers without apply_operator evaluate exactly."""
 
     MODELS = [
-        lambda: (QuadraticTraceModel(random_symmetric(60, seed=21)), random_stiefel(60, 3, 22)),
-        lambda: (harmonic_lattice(48), random_stiefel(48, 3, 23)),
+        lambda: (QuadraticTraceModel(random_symmetric(60, seed=21)), random_frame(60, 3, 22)),
+        lambda: (harmonic_lattice(48), random_frame(48, 3, 23)),
     ]
 
     @pytest.mark.parametrize("make", MODELS, ids=["quadratic", "lattice"])
@@ -530,7 +530,7 @@ class TestCarriedProduct:
     def test_drift_before_refresh_within_bound(self):
         model = CarriedLog(harmonic_lattice(512, gamma=1.0))
         config = SolveConfig(epsilon=1e-14, max_iter=8 * CARRY_REFRESH)
-        solve(model, random_stiefel(512, 4, 0), config)
+        solve(model, random_frame(512, 4, 0), config)
         drifts = []
         for n, (u, au) in enumerate(model.seen[:-1]):  # the last is the exact exit
             exact = model.model.a @ u
@@ -547,7 +547,7 @@ class TestCarriedProduct:
     def test_other_paths_evaluate_exactly(self, kwargs):
         model = CarriedLog(harmonic_lattice(48))
         config = SolveConfig(epsilon=1e-14, max_iter=20, **kwargs)
-        solve(model, random_stiefel(48, 3, 23), config)
+        solve(model, random_frame(48, 3, 23), config)
         assert model.seen and all(au is None for _, au in model.seen)
 
 
@@ -584,12 +584,12 @@ class TestBacktrackingProduct:
         monkeypatch.setattr(operator, "__matmul__", logged_matmul)
         if operator is DirichletLaplacian:
             lattice = harmonic_lattice(48, gamma=1.0)
-            result, logged = self.solve_logged(lattice, random_stiefel(48, 3, 23))
+            result, logged = self.solve_logged(lattice, random_frame(48, 3, 23))
             assert len(applied) == 1 + result.iters == len(logged.seen)
             assert all(x is u for x, (u, _) in zip(applied, logged.seen))
         else:
             model = QuadraticTraceModel(random_symmetric(60, seed=4))
-            result, logged = self.solve_logged(model, random_stiefel(60, 3, 22))
+            result, logged = self.solve_logged(model, random_frame(60, 3, 22))
             trials = sum(rec.backtracks + 1 for rec in result.trace)
             assert len(applied) == 1 + trials
             frames = [logged.seen[0][0]] + logged.valued
@@ -667,7 +667,7 @@ class TestFormedOnce:
     def test_backtracking_trial_serves_next_iterate(self, monkeypatch):
         counts = self.count_formed(monkeypatch)
         config = SolveConfig(epsilon=1e-14, max_iter=30, strategy="backtracking", first_step=1.0)
-        result = solve(harmonic_lattice(48, gamma=1.0), random_stiefel(48, 3, 23), config)
+        result = solve(harmonic_lattice(48, gamma=1.0), random_frame(48, 3, 23), config)
         assert result.status is Status.MAX_ITERATIONS
         steps = result.iters
         shrinks = sum(rec.backtracks for rec in result.trace)
@@ -678,7 +678,7 @@ class TestFormedOnce:
     def test_adaptive_iterate_serves_judge(self, monkeypatch):
         counts = self.count_formed(monkeypatch)
         config = SolveConfig(epsilon=1e-14, max_iter=30)
-        result = solve(harmonic_lattice(48, gamma=1.0), random_stiefel(48, 3, 23), config)
+        result = solve(harmonic_lattice(48, gamma=1.0), random_frame(48, 3, 23), config)
         assert result.status is Status.MAX_ITERATIONS
         # the carried exit's exact re-evaluation of the last iterate forms its
         # energy again, with the fresh A U, but not its density
@@ -721,7 +721,7 @@ class TestOperatorApplications:
         config = SolveConfig(
             epsilon=1e-14, max_iter=self.CAP, strategy=strategy, retraction=retraction
         )
-        result = solve(model, random_stiefel(model.npts, 3, 0), config)
+        result = solve(model, random_frame(model.npts, 3, 0), config)
         dense = isinstance(model.a, DenseSymmetric)
         assert result.iters > CARRY_REFRESH
         assert len(applied) == self.expected(strategy, retraction, dense, result)
@@ -741,7 +741,7 @@ class TestOrthonormalityChecks:
     solve as FAILED, with that frame's own energy and residual."""
 
     model = QuadraticTraceModel(random_symmetric(30, seed=13))
-    u0 = random_stiefel(30, 3, 14)
+    u0 = random_frame(30, 3, 14)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -813,7 +813,7 @@ class TestExitRule:
     evaluation of the iterate it reports."""
 
     model = QuadraticTraceModel(random_symmetric(30, seed=13))
-    u0 = random_stiefel(30, 3, 14)
+    u0 = random_frame(30, 3, 14)
 
     def test_carried_stop_is_checked_exactly(self):
         class ZeroWhenCarried(ExactMarked):
@@ -901,7 +901,7 @@ class TestArraySeam:
             epsilon=1e-14, max_iter=CARRY_REFRESH + 5, strategy=strategy,
             retraction=retraction, direction=direction,
         )
-        result = solve(model, random_stiefel(24, 3, 5), config)
+        result = solve(model, random_frame(24, 3, 5), config)
         assert result.status is Status.MAX_ITERATIONS
         assert not result.final_point.u.flags.writeable
 
@@ -924,7 +924,7 @@ class TestArraySeam:
             epsilon=1e-14, max_iter=30, strategy=strategy,
             retraction=retraction, direction=direction,
         )
-        result = solve(model, random_stiefel(20, 3, 4), config)
+        result = solve(model, random_frame(20, 3, 4), config)
         assert result.iters == 30
         assert calls == [f"retract_{retraction}"] * result.total_retraction_evals
 
@@ -960,7 +960,7 @@ class TestLeanLoop:
             model = QuadraticTraceModel(random_symmetric(40, seed=3))
         else:
             model = harmonic_lattice(40, gamma=1.0)
-        u0 = random_stiefel(40, 3, 4)
+        u0 = random_frame(40, 3, 4)
         per_cap = []
         for cap in self.CAPS:
             calls.update(dict.fromkeys(calls, 0))
@@ -974,7 +974,7 @@ class TestLatticeSolve:
     @pytest.mark.parametrize("strategy", ["adaptive", "backtracking"])
     def test_strategies_agree(self, strategy):
         model = harmonic_lattice(48, length=10.0, gamma=1.0)
-        u0 = random_stiefel(48, 3, 15)
+        u0 = random_frame(48, 3, 15)
         config = SolveConfig(epsilon=1e-8, max_iter=10000, strategy=strategy)
         result = solve(model, u0, config)
         assert result.status is Status.CONVERGED
@@ -994,7 +994,7 @@ class TestLatticeSolve:
         there, and backtracking stops at its shrink cap."""
         model = harmonic_lattice(256, gamma=gamma)
         config = SolveConfig(epsilon=1e-8, strategy="backtracking")
-        result = solve(model, random_stiefel(256, 8, frame), config)
+        result = solve(model, random_frame(256, 8, frame), config)
         assert result.status is Status.CONVERGED, result.diagnostic
 
 
@@ -1033,7 +1033,7 @@ class TestFailureHandling:
                 return super().value(u) if type(self).calls <= 30 else 1e6
 
         model = TurnsHostile(QuadraticTraceModel(random_symmetric(30, seed=13)))
-        u0 = random_stiefel(30, 3, 14)
+        u0 = random_frame(30, 3, 14)
         result = solve(model, u0, SolveConfig(strategy="backtracking", first_step=1.0))
         assert result.status is Status.FAILED
         assert "shrinks" in result.diagnostic
@@ -1086,7 +1086,7 @@ class TestFailureHandling:
         monkeypatch.setattr(search, name, failing)
         model = QuadraticTraceModel(random_symmetric(30, seed=13))
         config = SolveConfig(epsilon=1e-14, strategy=strategy)
-        result = solve(model, random_stiefel(30, 3, 14), config)
+        result = solve(model, random_frame(30, 3, 14), config)
         assert result.status is Status.FAILED
         assert "injected" in result.diagnostic
         trials = sum(rec.backtracks + 1 for rec in result.trace)
@@ -1119,7 +1119,7 @@ class TestFailureHandling:
                 return super().evaluate(u)
 
         model = FailsFourth(QuadraticTraceModel(random_symmetric(20, 1)))
-        result = solve(model, random_stiefel(20, 3, 0), SolveConfig(strategy="backtracking"))
+        result = solve(model, random_frame(20, 3, 0), SolveConfig(strategy="backtracking"))
         assert result.status is Status.FAILED and result.iters == 3
         assert result.diagnostic == "iteration 3: injected"
         assert np.isnan(result.final_energy) and np.isnan(result.final_residual)
@@ -1139,7 +1139,7 @@ class TestFailureHandling:
         iteration 0 with one diagnostic, whether RuntimeWarnings are errors
         or not, and emits no warning."""
         config = SolveConfig(strategy=strategy, first_step=first_step)
-        result = solve(model, random_stiefel(model.npts, 2, 0), config)
+        result = solve(model, random_frame(model.npts, 2, 0), config)
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic.startswith(f"iteration 0: {message}")
 
@@ -1161,7 +1161,7 @@ class TestFailureHandling:
                 return np.ones(shape)
 
         model = WrongShape(QuadraticTraceModel(random_symmetric(10, seed=2)))
-        result = solve(model, random_stiefel(10, 3, 1), SolveConfig())
+        result = solve(model, random_frame(10, 3, 1), SolveConfig())
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic == f"iteration 0: gradient shape {shape} != frame shape (10, 3)"
 
@@ -1176,7 +1176,7 @@ class TestStepOverflow:
     def test_named_at_iteration_0(self, strict, strategy, retraction, name):
         model = QuadraticTraceModel(random_symmetric(20, 1))
         config = SolveConfig(strategy=strategy, retraction=retraction, first_step=1e308)
-        result = solve(model, random_stiefel(20, 2, 0), config)
+        result = solve(model, random_frame(20, 2, 0), config)
         assert result.status is Status.FAILED and result.iters == 0
         assert result.diagnostic.startswith(f"iteration 0: {name} retraction: step |t| ")
         assert result.diagnostic.endswith(" = inf is not finite")
@@ -1208,7 +1208,7 @@ class TestSolveProperties:
         config = SolveConfig(
             epsilon=self.eps, max_iter=300, strategy=strategy, retraction=retraction
         )
-        result = solve(model, random_stiefel(n, p, seed), config)
+        result = solve(model, random_frame(n, p, seed), config)
 
         u = result.final_point.u
         assert np.linalg.norm(u.T @ u - np.eye(p)) <= 1e-10

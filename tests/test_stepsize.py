@@ -25,7 +25,6 @@ from grassopt import (
     retract_qr,
     unjudged_step,
 )
-from grassopt.checks import run_suite
 from grassopt.stepsize import MAX_BACKTRACKS, DegenerateDenominator
 
 from conftest import Delegate
@@ -387,9 +386,3 @@ class TestBacktrackingStep:
                 retract_qr,
                 g=-self.g,
             )
-
-
-def test_stepsize_suite_passes():
-    results = run_suite("stepsize")
-    failing = [r for r in results if not r.passed]
-    assert not failing, failing
